@@ -598,15 +598,6 @@ def _induced_bounds(grid: Grid, i_lo: int, i_hi: int) -> list[tuple[int, int]]:
 # module-level helpers
 # ---------------------------------------------------------------------------
 
-def integrate(f: PiecewiseFn, lo: float | None = None, hi: float | None = None):
-    """Quadrature of f over [lo, hi] (wrapper around the method)."""
-    return f.integrate(lo, hi)
-
-
-def antiderivative_from_right(f: PiecewiseFn) -> PiecewiseFn:
-    return f.antiderivative_from_right()
-
-
 def norm_l2(f: PiecewiseFn, lo: float | None = None, hi: float | None = None) -> float:
     sq = f.map(lambda v: np.abs(v) ** 2)
     return math.sqrt(max(float(np.real(sq.integrate(lo, hi))), 0.0))

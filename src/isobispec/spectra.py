@@ -1,13 +1,15 @@
 """Zeros of the characteristic functions: seeding, Newton, certification.
 
 Roots are located in the rho = sqrt(lambda) plane where they are
-asymptotically unit-spaced (rho_n ~ n for the Dirichlet pair, n - 1/2 for
-the Dirichlet-Neumann pair).  Each refined root is certified by an
-argument-principle count over a small rectangle, and the full sweep
-rectangle is counted to guarantee no root was missed; deficits trigger a
-strip-by-strip hunt with dense re-seeding.  Strong potentials shift the
-low-lying roots by O(1) in rho, so certification rather than seed quality
-is what guarantees completeness.
+asymptotically unit-spaced (see ``_OFFSETS``).  ``find_spectrum`` makes
+one pass over a sweep rectangle cut into strips midway between
+consecutive asymptotic roots: Newton from every asymptotic root, one
+argument-principle count per strip (Delves & Lyness, Math. Comp. 21,
+1967), and a dense hunt only in a strip that holds fewer distinct roots
+than its count.  A strip whose count equals its distinct roots certifies
+them: k distinct zeros in a region of winding number k are all simple and
+none is missing.  Strong potentials shift the low-lying roots by O(1) in
+rho, so the counts rather than seed quality guarantee completeness.
 """
 
 from __future__ import annotations
@@ -30,11 +32,18 @@ def residual_bound(j: int, lam: complex, tol: float = 1e-9) -> float:
     return tol * scale
 
 
-def seeds(j: int, n_max: int) -> list[float]:
-    """Asymptotic rho seeds: n for j=0, n - 1/2 for j=1."""
+# rho_n ~ n - offset for the n-th zero of the free limits delta_0 ~
+# sin(rho pi)/rho, delta_1 ~ cos(rho pi), theta_0 ~ cos(rho pi) and
+# theta_1 ~ -rho sin(rho pi).
+_OFFSETS = {("delta", 0): 0.0, ("delta", 1): 0.5,
+            ("theta", 0): 0.5, ("theta", 1): 1.0}
+
+
+def seeds(j: int, n_max: int, which: str = "delta") -> list[float]:
+    """Asymptotic rho positions of the first n_max zeros."""
     if n_max < 1:
         raise ValueError("n_max must be >= 1")
-    off = 0.0 if j == 0 else 0.5
+    off = _OFFSETS[(which, j)]
     return [n - off for n in range(1, n_max + 1)]
 
 
@@ -50,10 +59,6 @@ class Rect:
     def corners(self) -> list[complex]:
         return [complex(self.re_lo, self.im_lo), complex(self.re_hi, self.im_lo),
                 complex(self.re_hi, self.im_hi), complex(self.re_lo, self.im_hi)]
-
-    def contains(self, z: complex, margin: float = 0.0) -> bool:
-        return (self.re_lo + margin <= z.real <= self.re_hi - margin
-                and self.im_lo + margin <= z.imag <= self.im_hi - margin)
 
     def shifted(self, d: complex) -> "Rect":
         return Rect(self.re_lo + d.real, self.re_hi + d.real,
@@ -140,24 +145,21 @@ def _winding(ev: CharFnEval, j: int, rect: Rect, which: str,
 
 @dataclass(frozen=True)
 class Spectrum:
-    """Ordered zeros of one characteristic function with certificates."""
+    """Ordered zeros of one characteristic function with certificates.
+
+    ``complete`` means every strip of the sweep rectangle holds exactly as
+    many distinct roots as its winding count, so no zero there is missing.
+    """
 
     j: int
     which: str
     eigenvalues: tuple[complex, ...]
     residuals: tuple[float, ...]
-    seeds_used: tuple[complex, ...]
     certified: tuple[bool, ...]
-    windows: tuple[Rect, ...]
-    sweep_rect: Rect | None = None
-    sweep_count: int | None = None
+    sweep_rect: Rect
+    sweep_count: int
+    complete: bool
     lambda_zero_value: complex | None = None
-
-    @property
-    def complete(self) -> bool:
-        return (self.sweep_count is not None
-                and self.sweep_count == len(self.eigenvalues)
-                and all(self.certified))
 
     def to_records(self) -> list[dict]:
         return [{
@@ -183,105 +185,60 @@ def _order_lams(lams: list[complex], tol: float = 1e-6) -> list[complex]:
     return out
 
 
-def _dedupe_lams(lams: list[complex], tol: float = 1e-6) -> list[complex]:
-    """Ordered list with duplicates closer than tol dropped."""
-    out: list[complex] = []
-    for z in _order_lams(lams, tol):
-        if all(abs(z - s) > tol for s in out):
-            out.append(z)
-    return out
-
-
 def find_spectrum(ev: CharFnEval, j: int, n_eigs: int, which: str = "delta",
-                  im_halfwidth: float = 2.0, tol: float = 1e-9,
-                  certify: bool = True) -> Spectrum:
+                  im_halfwidth: float = 2.0, tol: float = 1e-9) -> Spectrum:
     """Locate the first n_eigs zeros (ordered by Re lambda, then Im).
 
-    Hunts inside the sweep rectangle 0 < Re rho < n_eigs + 1/2 (+ margin),
-    |Im rho| <= im_halfwidth; completeness of the hunt is certified by the
-    argument principle over the sweep rectangle and per-root windows.
+    The sweep rectangle 0.05 <= Re rho <= n_eigs + 3/4 (j = 0) or + 1/4
+    (j = 1), |Im rho| <= im_halfwidth, is cut into strips midway between
+    consecutive asymptotic roots.  Newton runs from every asymptotic root
+    in the sweep and each root found is filed under its strip; each strip
+    is counted once by the argument principle, and a strip short of its
+    count is hunted once by Newton from a dense 41 x 33 grid, smallest |f|
+    first.  A root is certified when its strip holds exactly its count of
+    distinct roots; ``sweep_count`` is the sum of the strip counts.
     """
-    off = 0.25 if j == 1 else 0.75
-    rho_lo = 0.05
-    rho_hi = n_eigs + off
+    rho_lo, rho_hi = 0.05, n_eigs + (0.25 if j == 1 else 0.75)
     sweep = Rect(rho_lo, rho_hi, -im_halfwidth, im_halfwidth)
-    f = _FUNCS[which]
+    starts = [s for s in seeds(j, n_eigs + 1, which) if rho_lo < s < rho_hi]
+    cuts = [s + 0.5 for s in starts[:-1]]
+    strips = [Rect(lo, hi, -im_halfwidth, im_halfwidth)
+              for lo, hi in zip([rho_lo, *cuts], [*cuts, rho_hi])]
+    found: list[list[complex]] = [[] for _ in strips]
 
-    roots_lam: list[complex] = []
-    used: list[complex] = []
-    for s in seeds(j, n_eigs):
+    def polish(seed: complex) -> None:
+        """Newton from seed; file a new root in the sweep under its strip."""
         try:
-            lam = refine(ev, j, s, which, tol=tol)
+            lam = complex(refine(ev, j, seed, which, tol=tol))
         except (NoConvergence, LeftTrustRegion):
+            return
+        rho = complex(np.sqrt(lam))
+        if (rho_lo <= rho.real <= rho_hi and abs(rho.imag) <= im_halfwidth
+                and all(abs(lam - z) > 1e-6 for zs in found for z in zs)):
+            found[int(np.searchsorted(cuts, rho.real))].append(lam)
+
+    for s in starts:
+        polish(s)
+    counts = [count_zeros(ev, j, strip, which) for strip in strips]
+    for strip, roots, count in zip(strips, found, counts):
+        if len(roots) >= count:
             continue
-        if sweep.contains(complex(np.sqrt(lam))):
-            roots_lam.append(complex(lam))
-            used.append(complex(s))
-    roots_lam = _dedupe_lams(roots_lam)
+        re = np.linspace(strip.re_lo, strip.re_hi, 41)
+        im = np.linspace(strip.im_lo, strip.im_hi, 33)
+        grid_pts = (re[:, None] + 1j * im[None, :]).ravel()
+        for idx in np.argsort(np.abs(_eval_rho(ev, j, grid_pts, which))):
+            if len(roots) >= count:
+                break
+            polish(grid_pts[idx])
 
-    target = count_zeros(ev, j, sweep, which)
-    hunts = 0
-    while len(roots_lam) < target and hunts < 4:
-        hunts += 1
-        rhos_found = [complex(np.sqrt(z)) for z in roots_lam]
-        k0 = int(math.floor(rho_lo))
-        for k in range(k0, int(math.ceil(rho_hi))):
-            strip = Rect(max(rho_lo, k + 0.003), min(rho_hi, k + 1.003),
-                         -im_halfwidth, im_halfwidth)
-            if strip.re_hi <= strip.re_lo:
-                continue
-            inside = sum(1 for r in rhos_found
-                         if strip.re_lo < r.real <= strip.re_hi
-                         and abs(r.imag) <= im_halfwidth)
-            deficit = count_zeros(ev, j, strip, which) - inside
-            if deficit <= 0:
-                continue
-            # dense sampling of |f|, best candidates first
-            re = np.linspace(strip.re_lo, strip.re_hi, 41)
-            im = np.linspace(strip.im_lo, strip.im_hi, 33)
-            grid_pts = (re[:, None] + 1j * im[None, :]).ravel()
-            vals = np.abs(_eval_rho(ev, j, grid_pts, which))
-            found = 0
-            for idx in np.argsort(vals):
-                if found >= deficit:
-                    break
-                try:
-                    lam = refine(ev, j, grid_pts[idx], which, tol=tol)
-                except (NoConvergence, LeftTrustRegion):
-                    continue
-                lam = complex(lam)
-                if (sweep.contains(complex(np.sqrt(lam)))
-                        and all(abs(lam - s) > 1e-6 for s in roots_lam)):
-                    roots_lam.append(lam)
-                    used.append(complex(grid_pts[idx]))
-                    found += 1
-        roots_lam = _dedupe_lams(roots_lam)
-
-    # order by lambda, keep the first n_eigs
-    lams = roots_lam[:n_eigs]
-    rhos = [complex(np.sqrt(z)) for z in lams]
-
-    residuals = tuple(float(abs(f(ev, j, z))) for z in lams)
-    windows: list[Rect] = []
-    certified: list[bool] = []
-    for r in rhos:
-        if not certify:
-            windows.append(Rect(0, 0, 0, 0))
-            certified.append(False)
-            continue
-        dmin = min((abs(r - s) for s in rhos if s != r), default=1.0)
-        hw = min(0.4, 0.45 * dmin) if dmin > 0 else 0.4
-        hw_re = min(hw, 0.9 * r.real) if r.real > 0 else hw
-        win = Rect(r.real - hw_re, r.real + hw_re, r.imag - hw, r.imag + hw)
-        try:
-            certified.append(count_zeros(ev, j, win, which) == 1)
-        except ContourThroughZero:
-            certified.append(False)
-        windows.append(win)
-
+    exact = [len(roots) == count for roots, count in zip(found, counts)]
+    cert = {z: ok for roots, ok in zip(found, exact) for z in roots}
+    lams = _order_lams(list(cert))[:n_eigs]
+    f = _FUNCS[which]
     lam0 = complex(f(ev, j, 0.0))
     return Spectrum(j=j, which=which, eigenvalues=tuple(lams),
-                    residuals=residuals, seeds_used=tuple(used),
-                    certified=tuple(certified), windows=tuple(windows),
-                    sweep_rect=sweep, sweep_count=target,
+                    residuals=tuple(float(abs(f(ev, j, z))) for z in lams),
+                    certified=tuple(cert[z] for z in lams),
+                    sweep_rect=sweep, sweep_count=sum(counts),
+                    complete=all(exact),
                     lambda_zero_value=lam0 if abs(lam0) < 1e-6 else None)
