@@ -5,8 +5,7 @@ from .errors import (ContourThroughZero, ConvergenceFailure, DegenerateFamily,
                      DelayOutOfRange, GridTooCoarseForRho, IsobispecError,
                      LeftTrustRegion, NoConvergence, OutOfSupport,
                      SupportMismatch, ZeroOperator)
-from .grid import (Breakpoints, Grid, PiecewiseFn, make_breakpoints, norm_l2,
-                   inner_l2, write_csv)
+from .grid import Grid, PiecewiseFn, norm_l2, inner_l2, write_csv
 from .integral_op import (Eigenpair, NystromOperator, apply_M, build_nystrom,
                           eig_report, leading_real_eigenpair, normalize_family)
 from .potential import (FamilySpec, Potential, build_potential, family_spec,

@@ -39,10 +39,13 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import DelayOutOfRange, GridTooCoarseForRho, SupportMismatch
+from .errors import GridTooCoarseForRho, SupportMismatch
 from .grid import (PI, Grid, PiecewiseFn, panel_increments, segment_weights,
                    varlimit_rows)
 from .potential import Potential
+
+# |rho| at or below which the singularity-free small-rho path is used.
+SMALL_RHO = 1e-3
 
 
 def sinc(z: np.ndarray) -> np.ndarray:
@@ -106,8 +109,6 @@ def _h_values(q: Potential, x_idx: np.ndarray) -> np.ndarray:
 def _q_parts(q: Potential) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """(x-nodes index array, F*G, H) over (3a/2, pi-a/2)."""
     grid = q.grid
-    if not grid.strict:
-        raise DelayOutOfRange("transformed potentials need pi/3 <= a < 2pi/5")
     s = grid.shift_half
     cum = _cumulative_flat(q)
     x_idx = np.arange(grid.idx_3a2, grid.idx_pi_a2 + 1)
@@ -311,7 +312,6 @@ class CharFnEval:
     w1: WFunction
     omega: complex                 # integral of the potential over (a, pi)
     omega_w0: complex              # discrete integral of w_0 over (a, pi)
-    eps: float = 1e-3              # small-rho crossover
     _x: np.ndarray = field(repr=False, default=None)
     _wt0: np.ndarray = field(repr=False, default=None)  # weights * w0 samples
     _wt1: np.ndarray = field(repr=False, default=None)
@@ -331,17 +331,12 @@ def _concat_weighted(w: PiecewiseFn) -> tuple[np.ndarray, np.ndarray]:
     return np.concatenate(xs), np.concatenate(wts)
 
 
-def make_evaluator(q: Potential, method: str = "reordered",
-                   eps: float = 1e-3) -> CharFnEval:
-    """Build the characteristic-function evaluator for a potential."""
-    if method == "family":
-        w0 = compute_w(q, 0, "family")
-        w1 = compute_w(q, 1, "family")
-    else:
-        parts = (_q_parts(q) if method == "reordered"
-                 else _q_parts_original(q))
-        w0 = _w_from_parts(q, 0, *parts, provenance=method)
-        w1 = _w_from_parts(q, 1, *parts, provenance=method)
+def make_evaluator(q: Potential) -> CharFnEval:
+    """Build the characteristic-function evaluator for a potential from the
+    reordered route for w_0 and w_1."""
+    parts = _q_parts(q)
+    w0 = _w_from_parts(q, 0, *parts, provenance="reordered")
+    w1 = _w_from_parts(q, 1, *parts, provenance="reordered")
     x0, wt0 = _concat_weighted(w0.w)
     _, wt1 = _concat_weighted(w1.w)
 
@@ -352,7 +347,7 @@ def make_evaluator(q: Potential, method: str = "reordered",
     om_w0 = _tidy(wt0.sum())
     om_q = _tidy(q.fn.integrate(q.grid.x(q.grid.idx_a), PI))
     return CharFnEval(grid=q.grid, a=q.a, w0=w0, w1=w1, omega=om_q,
-                      omega_w0=om_w0, eps=eps, _x=x0, _wt0=wt0, _wt1=wt1)
+                      omega_w0=om_w0, _x=x0, _wt0=wt0, _wt1=wt1)
 
 
 def _rho_of(ev: CharFnEval, lam: np.ndarray) -> np.ndarray:
@@ -386,7 +381,7 @@ def _eval(ev: CharFnEval, which: str, j: int, lam, path: str = "auto"):
     lam_arr = np.atleast_1d(np.asarray(lam, dtype=complex))
     rho = _rho_of(ev, lam_arr)
     if path == "auto":
-        small = np.abs(rho) <= ev.eps
+        small = np.abs(rho) <= SMALL_RHO
         out = np.empty(lam_arr.shape, dtype=complex)
         if small.any():
             out[small] = _eval_path(ev, which, j, lam_arr[small], rho[small], "small")

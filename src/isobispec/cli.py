@@ -24,7 +24,7 @@ import numpy as np
 
 from . import charfn, integral_op, potential, spectra
 from .errors import IsobispecError
-from .grid import write_csv
+from .grid import Grid, PiecewiseFn, write_csv
 from .harness import (RunConfig, TOLERANCES, parse_h_spec,
                       run_crosscheck, run_verify_remark2,
                       run_verify_theorem1)
@@ -72,8 +72,6 @@ def build_parser() -> argparse.ArgumentParser:
                         metavar="NAME=VAL", help="override a named tolerance")
     common.add_argument("--out", choices=("json", "csv"), default="json")
     common.add_argument("--out-dir", default="isobispec-out")
-    common.add_argument("--unsafe-delay", action="store_true",
-                        help="allow delays outside [pi/3, 2pi/5) (exploratory)")
     common.add_argument("--skip-normalize", action="store_true",
                         help="skip the eigenvalue normalization (negative control)")
     common.add_argument("--quiet", action="store_true")
@@ -109,7 +107,7 @@ def _config(args) -> RunConfig:
         a_frac=args.a_frac, h_spec=args.h_spec, eigsign=args.eigsign,
         alphas=alphas, grid_n=args.grid_n, nystrom_n=args.nystrom_n,
         n_eigs=args.n_eigs, tolerances=dict(args.tol or []),
-        out=args.out, out_dir=args.out_dir, unsafe_delay=args.unsafe_delay,
+        out=args.out, out_dir=args.out_dir,
         skip_normalize=args.skip_normalize)
 
 
@@ -194,11 +192,9 @@ def main(argv=None) -> int:
             return 0
 
         if args.command == "eig":
-            fam_grid_h = parse_h_spec(cfg.h_spec)
-            from .grid import Grid, PiecewiseFn
-            grid = Grid(cfg.a_frac, cfg.grid_n, strict=not cfg.unsafe_delay)
+            grid = Grid(cfg.a_frac, cfg.grid_n)
             h = PiecewiseFn.from_callable(grid, grid.idx_5a2, grid.n_panels,
-                                          fam_grid_h, dtype=float)
+                                          parse_h_spec(cfg.h_spec), dtype=float)
             op = integral_op.build_nystrom(h, cfg.nystrom_n)
             pair = integral_op.leading_real_eigenpair(op)
             rep = integral_op.eig_report(op, pair,

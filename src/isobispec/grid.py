@@ -22,7 +22,6 @@ ranges and byte-consistent between modules.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from typing import Callable, Sequence
@@ -45,71 +44,27 @@ _BP_COEFFS = (
     (0, 1),
 )
 
-N_SEGMENTS = 7
-
-
-@dataclass(frozen=True)
-class Breakpoints:
-    """Sorted breakpoint nodes for a given delay, with emptiness flags."""
-
-    a: float
-    nodes: tuple[float, ...]
-    empty: tuple[bool, ...]
-
-
-def make_breakpoints(a: float, strict: bool = True) -> Breakpoints:
-    """Breakpoint nodes {0, a, 3a/2, pi-a, 2a, pi-a/2, 5a/2, pi} for delay a.
-
-    With strict=True the delay must satisfy pi/3 <= a < 2pi/5; outside that
-    range the interval decomposition loses its meaning for the potential
-    family.  strict=False relaxes to a in (0, pi) for exploratory use
-    (unsupported by the construction; node list is simply sorted).
-    """
-    if not math.isfinite(a) or a <= 0:
-        raise DelayOutOfRange(f"delay must be a positive finite number, got {a!r}")
-    if strict and not (PI / 3 <= a < 0.4 * PI):
-        raise DelayOutOfRange(
-            f"delay a={a:.6g} outside [pi/3, 2pi/5); pass strict=False to explore"
-        )
-    if not strict and a >= PI:
-        raise DelayOutOfRange(f"delay a={a:.6g} must lie in (0, pi)")
-    raw = [float(ca) * a + float(cp) * PI for ca, cp in _BP_COEFFS]
-    nodes = sorted(raw)
-    # snap near-coincident nodes (float noise at a = pi/3)
-    snapped = [nodes[0]]
-    for x in nodes[1:]:
-        snapped.append(snapped[-1] if x - snapped[-1] <= 1e-12 else x)
-    empty = tuple(hi - lo <= 1e-12 for lo, hi in zip(snapped, snapped[1:]))
-    return Breakpoints(a=a, nodes=tuple(snapped), empty=empty)
-
 
 class Grid:
     """Uniform step pi/N over [0, pi] with breakpoint indices for delay a.
 
-    a_frac is the delay as a rational multiple of pi.  n_panels is snapped
-    up to a multiple of 2*denominator(a_frac) (and doubled until every
+    a_frac is the delay as a rational multiple of pi in [1/3, 2/5), the
+    range on which the construction is defined.  n_panels is snapped up to
+    a multiple of 2*denominator(a_frac) (and doubled until every
     nonempty segment has at least 4 panels), so that all breakpoints sit on
     integer node indices.
     """
 
-    def __init__(self, a_frac: Fraction | str | tuple, n_panels: int = 2048,
-                 strict: bool = True):
+    def __init__(self, a_frac: Fraction | str | tuple, n_panels: int = 2048):
         f = Fraction(*a_frac) if isinstance(a_frac, tuple) else Fraction(a_frac)
-        if not (0 < f < 1):
-            raise DelayOutOfRange(f"a_frac={f} must lie in (0, 1)")
-        if strict and not (Fraction(1, 3) <= f < Fraction(2, 5)):
-            raise DelayOutOfRange(
-                f"a_frac={f} outside [1/3, 2/5); pass strict=False to explore"
-            )
+        if not (Fraction(1, 3) <= f < Fraction(2, 5)):
+            raise DelayOutOfRange(f"a_frac={f} outside [1/3, 2/5)")
         self.a_frac = f
-        self.strict = strict
 
+        # every breakpoint is a multiple of a/2 plus 0 or pi, so 2*denominator
+        # steps put them all on nodes
         bp_frac = [ca * f + cp for ca, cp in _BP_COEFFS]
-        if not strict:
-            bp_frac = sorted(set(min(max(x, Fraction(0)), Fraction(1)) for x in bp_frac))
         base = 2 * f.denominator
-        for frac in bp_frac:
-            base = base * frac.denominator // math.gcd(base, frac.denominator)
         n = max(1, math.ceil(n_panels / base)) * base
         while True:
             idx = [int(frac * n) for frac in bp_frac]
@@ -124,7 +79,7 @@ class Grid:
         self.shift_half = int(f / 2 * n)   # index shift for a/2
         self.shift_a = 2 * self.shift_half
 
-    # Named breakpoint indices (canonical ordering, strict grids).
+    # Named breakpoint indices (canonical ordering).
     @property
     def idx_a(self) -> int:
         return self.shift_a
@@ -291,9 +246,11 @@ class PiecewiseFn:
                  seg_values: Sequence[np.ndarray], left_ext=None):
         if not seg_bounds:
             raise SupportMismatch("PiecewiseFn needs at least one segment")
+        if len(seg_values) != len(seg_bounds):
+            raise SupportMismatch("one sample array per segment required")
         prev_hi = None
         vals = []
-        for (lo, hi), v in zip(seg_bounds, seg_values, strict=True):
+        for (lo, hi), v in zip(seg_bounds, seg_values):
             if hi < lo or (prev_hi is not None and lo != prev_hi):
                 raise SupportMismatch("segments must tile the support in order")
             v = np.asarray(v)
@@ -390,19 +347,6 @@ class PiecewiseFn:
         idx = np.clip(np.asarray(idx), self.i_lo, self.i_hi)
         return self.flat_values()[idx - self.i_lo]
 
-    def values_on(self, i0: int, i1: int) -> np.ndarray:
-        """Samples on [i0, i1], which must lie inside a single segment."""
-        for (lo, hi), v in zip(self.seg_bounds, self.seg_values):
-            if lo <= i0 and i1 <= hi:
-                return v[i0 - lo: i1 - lo + 1]
-        raise SupportMismatch(f"[{i0},{i1}] does not fit inside one segment")
-
-    def segment_index(self, i0: int, i1: int) -> int:
-        for k, (lo, hi) in enumerate(self.seg_bounds):
-            if lo <= i0 and i1 <= hi:
-                return k
-        raise SupportMismatch(f"[{i0},{i1}] does not fit inside one segment")
-
     # -- evaluation ----------------------------------------------------------
 
     def eval(self, x) -> np.ndarray | complex | float:
@@ -447,9 +391,9 @@ class PiecewiseFn:
     def integrate(self, lo: float | None = None, hi: float | None = None):
         """Integral over [lo, hi] (defaults to full support).
 
-        Node-aligned bounds use cumulative panel increments (exactly
-        additive); non-node bounds add partial-panel integrals of the local
-        quadratic interpolant.
+        Both bounds must sit on grid nodes.  The integral is the sum of the
+        panel increments between them, so it is exactly additive over
+        adjacent ranges.
         """
         lo_x, hi_x = self.support
         lo = lo_x if lo is None else float(lo)
@@ -459,55 +403,14 @@ class PiecewiseFn:
         if lo < lo_x - 1e-12 or hi > hi_x + 1e-12:
             raise OutOfSupport(
                 f"[{lo:.6g},{hi:.6g}] outside support [{lo_x:.6g},{hi_x:.6g}]")
-        step = self.grid.step
-        ilo_f, ihi_f = lo / step, hi / step
-        i0 = int(np.ceil(ilo_f - 1e-9))
-        i1 = int(np.floor(ihi_f + 1e-9))
-        i0 = max(i0, self.i_lo)
-        i1 = min(i1, self.i_hi)
+        i0, i1 = self.grid.index_of(lo), self.grid.index_of(hi)
         total = 0.0
-        if i1 > i0:
-            for (slo, shi), v in zip(self.seg_bounds, self.seg_values):
-                if shi <= i0 or slo >= i1 or shi == slo:
-                    continue
-                a, b = max(slo, i0), min(shi, i1)
-                if b <= a:
-                    continue
-                inc = panel_increments(v, step)
-                total = total + inc[a - slo: b - slo].sum()
-        elif i1 < i0:
-            # both bounds inside one panel
-            return self._partial(lo, hi)
-        if lo < self.grid.x(i0) - 1e-12:
-            total = total + self._partial(lo, self.grid.x(i0))
-        if hi > self.grid.x(i1) + 1e-12:
-            total = total + self._partial(self.grid.x(i1), hi)
-        return total
-
-    def _partial(self, lo: float, hi: float):
-        """Integral of the local quadratic fit over a sub-panel range."""
-        if hi - lo <= 0:
-            return 0.0
-        step = self.grid.step
-        mid = 0.5 * (lo + hi)
         for (slo, shi), v in zip(self.seg_bounds, self.seg_values):
-            if shi == slo:
-                continue
-            if self.grid.x(slo) - 1e-12 <= mid <= self.grid.x(shi) + 1e-12:
-                j = int(np.clip(np.floor(mid / step) - slo, 0, shi - slo - 1))
-                j = int(np.clip(j, 0, max(shi - slo - 2, 0)))
-                xj = self.grid.x(slo + j)
-                if shi - slo == 1:
-                    c0, c1 = v[0], (v[1] - v[0]) / step
-                    t0, t1 = lo - xj, hi - xj
-                    return c0 * (t1 - t0) + c1 * (t1**2 - t0**2) / 2
-                y0, y1, y2 = v[j], v[j + 1], v[j + 2]
-                c1 = (-3 * y0 + 4 * y1 - y2) / (2 * step)
-                c2 = (y0 - 2 * y1 + y2) / (2 * step**2)
-                t0, t1 = lo - xj, hi - xj
-                return (y0 * (t1 - t0) + c1 * (t1**2 - t0**2) / 2
-                        + c2 * (t1**3 - t0**3) / 3)
-        raise OutOfSupport(f"partial range [{lo},{hi}] not inside support")
+            a, b = max(slo, i0), min(shi, i1)
+            if b > a:
+                inc = panel_increments(v, self.grid.step)
+                total = total + inc[a - slo: b - slo].sum()
+        return total
 
     def cumulative(self) -> "PiecewiseFn":
         """Running integral from the left support edge, continuous."""

@@ -31,6 +31,7 @@ from pathlib import Path
 import numpy as np
 
 from . import charfn, potential, shooting, spectra
+from .errors import DelayOutOfRange
 from .grid import PI, norm_l2, read_xy_csv
 
 SCHEMA_VERSION = 1
@@ -134,15 +135,12 @@ class RunConfig:
     tolerances: dict = field(default_factory=dict)
     out: str = "json"
     out_dir: str | None = None
-    unsafe_delay: bool = False
     skip_normalize: bool = False
 
     def __post_init__(self):
         self.a_frac = Fraction(self.a_frac)
-        if not self.unsafe_delay and not (
-                Fraction(1, 3) <= self.a_frac < Fraction(2, 5)):
-            raise ValueError(
-                f"a_frac={self.a_frac} outside [1/3, 2/5); pass unsafe_delay")
+        if not Fraction(1, 3) <= self.a_frac < Fraction(2, 5):
+            raise DelayOutOfRange(f"a_frac={self.a_frac} outside [1/3, 2/5)")
 
     def tol(self, name: str) -> float:
         return float(self.tolerances.get(name, TOLERANCES[name]))
@@ -334,7 +332,7 @@ def run_verify_theorem1(cfg: RunConfig) -> VerificationReport:
         for a in alphas:
             sp = res[(a, j)]
             all_certified &= all(sp.certified)
-            all_complete &= sp.sweep_count == len(sp.eigenvalues)
+            all_complete &= sp.complete
             if len(sp.eigenvalues) != len(ref.eigenvalues):
                 worst_sp = math.inf
                 continue
@@ -345,7 +343,7 @@ def run_verify_theorem1(cfg: RunConfig) -> VerificationReport:
                             detail=f"first {cfg.n_eigs} zeros, both j"))
     checks.append(_check_ge("spectra_certified", float(all_certified), 1.0))
     checks.append(_check_ge("spectra_complete", float(all_complete), 1.0,
-                            detail="sweep winding count == roots found"))
+                            detail="every strip holds its winding count"))
 
     # stage: crosscheck against the shooting oracle
     a_cross = next((a for a in alphas if a != 0), 0j)

@@ -22,7 +22,7 @@ from typing import Callable
 import numpy as np
 
 from . import integral_op
-from .errors import DelayOutOfRange, SupportMismatch, ZeroOperator
+from .errors import SupportMismatch, ZeroOperator
 from .grid import PI, Grid, PiecewiseFn, norm_l2
 
 
@@ -55,8 +55,6 @@ def family_spec(grid: Grid, h: PiecewiseFn, e: PiecewiseFn, eigsign: int,
     """Bundle a (h, e) pair into a FamilySpec, re-checking the eigen-relation."""
     if eigsign not in (+1, -1):
         raise ValueError("eigsign must be +1 or -1")
-    if not grid.strict:
-        raise DelayOutOfRange("potential families require pi/3 <= a < 2pi/5")
     if h.is_complex:
         raise ValueError("the seed h must be real-valued")
     if float(np.abs(h.flat_values()).max()) == 0.0:
@@ -77,9 +75,9 @@ def make_family(a_frac: Fraction | str | tuple = Fraction(7, 20),
                 eigsign: int = +1,
                 grid_n: int = 2048,
                 nystrom_n: int = 256,
-                which="largest",
                 skip_normalize: bool = False) -> FamilySpec:
-    """End-to-end family construction from a seed function on (5a/2, pi).
+    """End-to-end family construction from a seed function on (5a/2, pi),
+    using the largest eigenvalue of the seed's integral operator.
 
     skip_normalize keeps the raw (un-rescaled) h with eta != eigsign -- a
     deliberately broken family used as a negative control; validation is
@@ -93,7 +91,7 @@ def make_family(a_frac: Fraction | str | tuple = Fraction(7, 20),
         h = PiecewiseFn.constant(grid, grid.idx_5a2, grid.n_panels,
                                  float(h_fn))
     op = integral_op.build_nystrom(h, nystrom_n)
-    pair = integral_op.leading_real_eigenpair(op, which=which)
+    pair = integral_op.leading_real_eigenpair(op)
     if skip_normalize:
         return family_spec(grid, h, pair.e, eigsign, validate=False)
     h_scaled, e = integral_op.normalize_family(h, pair, eigsign)
@@ -146,8 +144,6 @@ def build_potential(spec: FamilySpec, alpha: complex) -> Potential:
 def potential_from_callable(grid: Grid, q_fn: Callable[[np.ndarray], np.ndarray],
                             dtype=float) -> Potential:
     """General potential vanishing on (0, a); q_fn is sampled on (a, pi)."""
-    if not grid.strict:
-        raise DelayOutOfRange("potentials require pi/3 <= a < 2pi/5")
     values = []
     for lo, hi in grid.seg_bounds:
         x = grid.x_nodes(lo, hi)

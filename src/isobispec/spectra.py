@@ -26,17 +26,22 @@ from .grid import PI
 _FUNCS = {"delta": eval_delta, "theta": eval_theta}
 
 
-def residual_bound(j: int, lam: complex, tol: float = 1e-9) -> float:
-    """Admissible |char fn| at a reported zero, scaled to the leading term."""
-    scale = max(1.0, abs(lam)) if j == 0 else max(1.0, math.sqrt(abs(lam)))
-    return tol * scale
-
-
 # rho_n ~ n - offset for the n-th zero of the free limits delta_0 ~
 # sin(rho pi)/rho, delta_1 ~ cos(rho pi), theta_0 ~ cos(rho pi) and
 # theta_1 ~ -rho sin(rho pi).
 _OFFSETS = {("delta", 0): 0.0, ("delta", 1): 0.5,
             ("theta", 0): 0.5, ("theta", 1): 1.0}
+
+# Growth in |lambda| of the residual accepted at a zero.  theta_0 tends to
+# cos(rho pi), which is O(1), so it shares the sqrt scale of delta_1.
+_RESIDUAL_SCALES = {("delta", 0): lambda m: m, ("delta", 1): math.sqrt,
+                    ("theta", 0): math.sqrt, ("theta", 1): math.sqrt}
+
+
+def residual_bound(j: int, lam: complex, tol: float = 1e-9,
+                   which: str = "delta") -> float:
+    """Admissible |char fn| at a reported zero, scaled to the leading term."""
+    return tol * max(1.0, _RESIDUAL_SCALES[(which, j)](abs(lam)))
 
 
 def seeds(j: int, n_max: int, which: str = "delta") -> list[float]:
@@ -91,7 +96,8 @@ def refine(ev: CharFnEval, j: int, seed: complex, which: str = "delta",
             raise NoConvergence(f"zero derivative at rho={rho:.4g}")
         step = val / deriv
         rho = rho - step
-        if abs(step) < 1e-10 and abs(val) <= residual_bound(j, rho * rho, tol):
+        bound = residual_bound(j, rho * rho, tol, which)
+        if abs(step) < 1e-10 and abs(val) <= bound:
             return rho * rho
     raise NoConvergence(f"no convergence from seed {seed:.4g} after {max_iter} its")
 

@@ -188,7 +188,7 @@ class TestEvaluationPaths:
 
     def test_auto_path_dispatch(self, q_alpha1):
         ev = make_evaluator(q_alpha1)
-        lams = np.array([1e-8, 4.0])       # one below eps^2, one above
+        lams = np.array([1e-8, 4.0])       # one below SMALL_RHO^2, one above
         out = eval_delta(ev, 0, lams)
         assert abs(out[0] - eval_delta(ev, 0, 1e-8, path="small")) == 0.0
         assert abs(out[1] - eval_delta(ev, 0, 4.0, path="large")) == 0.0

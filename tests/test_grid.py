@@ -10,38 +10,33 @@ from numpy.testing import assert_allclose
 from scipy.integrate import simpson
 
 from isobispec.errors import DelayOutOfRange, OutOfSupport, SupportMismatch
-from isobispec.grid import (PI, Grid, PiecewiseFn, make_breakpoints, norm_l2,
-                            read_xy_csv, write_csv)
+from isobispec.grid import (PI, Grid, PiecewiseFn, norm_l2, read_xy_csv,
+                            write_csv)
 
 A35 = 0.35 * PI
 
 
 class TestBreakpoints:
+    """The breakpoint table of Grid: node positions and the delay range."""
+
     def test_nominal_nodes(self):
-        bp = make_breakpoints(A35)
-        assert_allclose(bp.nodes, np.array(
+        g = Grid(Fraction(7, 20), 2048)
+        assert_allclose(g.x(np.array(g.bp_idx)), np.array(
             [0, 0.35, 0.525, 0.65, 0.7, 0.825, 0.875, 1.0]) * PI, rtol=1e-14)
-        assert not any(bp.empty)
+        assert g.x(g.idx_a) == pytest.approx(A35, rel=1e-14)
+        assert all(hi > lo for lo, hi in g.seg_bounds)
 
     def test_equality_case_pi_third(self):
-        bp = make_breakpoints(PI / 3)
-        # pi - a == 2a and pi - a/2 == 5a/2: two empty intervals
-        assert sum(bp.empty) == 2
-        assert bp.empty[3] and bp.empty[5]
+        g = Grid(Fraction(1, 3), 120)
+        # pi - a == 2a and pi - a/2 == 5a/2 coincide on the same nodes
+        assert g.idx_pi_a == g.idx_2a
+        assert g.idx_pi_a2 == g.idx_5a2
 
     def test_out_of_range_rejected(self):
-        with pytest.raises(DelayOutOfRange):
-            make_breakpoints(0.45 * PI)
-        with pytest.raises(DelayOutOfRange):
-            make_breakpoints(0.3 * PI)
-        with pytest.raises(DelayOutOfRange):
-            make_breakpoints(-1.0)
-
-    def test_unsafe_mode_sorts(self):
-        bp = make_breakpoints(0.2 * PI, strict=False)
-        assert list(bp.nodes) == sorted(bp.nodes)
-        with pytest.raises(DelayOutOfRange):
-            make_breakpoints(1.5 * PI, strict=False)
+        for f in (Fraction(3, 10), Fraction(9, 20), Fraction(0),
+                  Fraction(-7, 20), Fraction(-1, 3)):
+            with pytest.raises(DelayOutOfRange):
+                Grid(f, 120)
 
 
 class TestGrid:
@@ -62,7 +57,7 @@ class TestGrid:
     def test_range_check(self):
         with pytest.raises(DelayOutOfRange):
             Grid(Fraction(2, 5), 100)
-        Grid(Fraction(2, 7), 100, strict=False)   # exploratory mode
+        assert Grid(Fraction(1, 3), 100).a_frac == Fraction(1, 3)
 
 
 class TestIntegrate:
@@ -85,13 +80,6 @@ class TestIntegrate:
         ref = PiecewiseFn.from_callable(g_ref, 0, g_ref.n_panels, np.sin).integrate()
         assert abs(val - ref) < 1e-9
 
-    def test_partial_panel_quadratic_exact(self, grid_small):
-        g = grid_small
-        f = PiecewiseFn.from_callable(g, 0, g.n_panels, lambda x: x**2 - x)
-        lo, hi = 0.1234, 2.87654321
-        exact = (hi**3 - lo**3) / 3 - (hi**2 - lo**2) / 2
-        assert abs(f.integrate(lo, hi) - exact) < 1e-13
-
     def test_out_of_support(self, grid_small):
         g = grid_small
         f = PiecewiseFn.constant(g, g.idx_5a2, g.n_panels, 1.0)
@@ -99,6 +87,20 @@ class TestIntegrate:
             f.integrate(0.0, 1.0)
         with pytest.raises(OutOfSupport):
             f.integrate(3.0, 2.9)
+        with pytest.raises(OutOfSupport):
+            f.integrate(g.x(g.n_panels), g.x(g.idx_5a2))
+
+    def test_off_node_bound_rejected(self, grid_small):
+        g = grid_small
+        f = PiecewiseFn.from_callable(g, 0, g.n_panels, lambda x: x)
+        for lo, hi in ((0.1234, PI), (0.0, 2.87654321),
+                       (g.x(3) + 0.5 * g.step, g.x(4))):
+            with pytest.raises(SupportMismatch):
+                f.integrate(lo, hi)
+        # node bounds given as computed floats still resolve
+        lo, hi = 2 * g.a, PI - g.a / 2
+        assert f.integrate(lo, hi) == pytest.approx((hi**2 - lo**2) / 2,
+                                                    abs=1e-13)
 
     def test_halving_convergence(self):
         # composite-rule error drops by >= 8x per halving until the floor

@@ -29,7 +29,9 @@ class TestConfig:
     def test_delay_range_enforced(self):
         with pytest.raises(ValueError):
             RunConfig(a_frac=Fraction(1, 4))
-        RunConfig(a_frac=Fraction(1, 4), unsafe_delay=True)
+        with pytest.raises(ValueError):
+            RunConfig(a_frac=Fraction(2, 5))
+        assert RunConfig(a_frac=Fraction(1, 3)).a_frac == Fraction(1, 3)
 
     def test_lambda_grid_shape(self):
         grid = lambda_validation_grid()
@@ -188,6 +190,13 @@ class TestCli:
         rc = main(["crosscheck", "--grid-n", "256",
                    "--out-dir", str(tmp_path), "--quiet"])
         assert rc == 2
+
+    def test_delay_out_of_range_exit_two(self, tmp_path, capsys):
+        for cmd in ("crosscheck", "spectrum", "charfn", "family", "eig"):
+            rc = main([cmd, "--a-frac", "1/4", "--out-dir", str(tmp_path),
+                       "--quiet"])
+            assert rc == 2
+            assert "outside [1/3, 2/5)" in capsys.readouterr().err
 
     def test_tol_flag(self, tmp_path):
         rc = main(["crosscheck", "--grid-n", "1024",

@@ -7,8 +7,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 from scipy.integrate import simpson
 
-from isobispec.errors import DelayOutOfRange, SupportMismatch
-from isobispec.grid import PI, Grid, PiecewiseFn, norm_l2
+from isobispec.errors import SupportMismatch
+from isobispec.grid import PI, PiecewiseFn, norm_l2
 from isobispec.potential import (build_potential, family_spec, make_family,
                                  omega, potential_from_callable,
                                  structural_report, zero_potential)
@@ -214,8 +214,3 @@ class TestFamilySpec:
                                         lambda x: x - mid)
         spec = family_spec(g, fam.h, odd, +1, validate=False)
         assert spec.degenerate
-
-    def test_requires_strict_grid(self):
-        g = Grid(Fraction(2, 7), 200, strict=False)
-        with pytest.raises(DelayOutOfRange):
-            potential_from_callable(g, lambda x: x)

@@ -92,6 +92,18 @@ class TestFindSpectrum:
             for lam, res in zip(sp.eigenvalues, sp.residuals):
                 assert res <= residual_bound(j, lam)
 
+    def test_theta0_residual_scale(self, q_alpha1):
+        # theta_0 tends to cos(rho pi), which is O(1), so its bound grows
+        # like sqrt|lambda| (as delta_1's), not like |lambda| (as delta_0's)
+        assert residual_bound(0, 1e4, which="theta") == pytest.approx(1e-7)
+        assert residual_bound(0, 1e4) == pytest.approx(1e-5)
+        ev = make_evaluator(q_alpha1)
+        for j in (0, 1):
+            sp = find_spectrum(ev, j, 8, "theta")
+            assert len(sp.eigenvalues) == 8 and sp.complete
+            for lam, res in zip(sp.eigenvalues, sp.residuals):
+                assert res <= residual_bound(j, lam, which="theta")
+
     def test_fixture_twenty_distinct_certified(self, q_alpha1):
         ev = make_evaluator(q_alpha1)
         sp = find_spectrum(ev, 0, 20)
