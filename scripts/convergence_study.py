@@ -28,8 +28,7 @@ def main() -> None:
         ev = make_evaluator(q)
         cross = abs(shoot(q, lam, "S").value_at_pi - eval_delta(ev, 0, lam))
         om_def = abs(complex(ev.omega_w0) - complex(omega(q)))
-        route = norm_l2(compute_Q(q, 0, "reordered")
-                        - compute_Q(q, 0, "original"))
+        route = norm_l2(ev.Q[0] - compute_Q(q, "original")[0])
         rows.append((fam.grid.n_panels, cross, om_def, route))
 
     print(f"{'panels':>8} {'|shoot-closed|':>15} {'omega defect':>14} "

@@ -144,9 +144,9 @@ def test_criterion_06_Q_route_equivalence(evaluators):
     pots, _ = evaluators
     q = pots[1]
     worst = 0.0
+    q_re, q_orig = compute_Q(q, "reordered"), compute_Q(q, "original")
     for k in (0, 1):
-        d = norm_l2(compute_Q(q, k, "reordered") - compute_Q(q, k, "original"))
-        worst = max(worst, d)
+        worst = max(worst, norm_l2(q_re[k] - q_orig[k]))
     ok = worst <= 1e-6
     _report("6 Q route equivalence", ok, f"L2 dev={worst:.3e} <= 1e-6")
     assert worst <= 1e-6

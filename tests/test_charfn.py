@@ -1,14 +1,16 @@
 """Transformed potentials and characteristic-function evaluation."""
 
+from fractions import Fraction
+
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
-from isobispec.charfn import (_eval_path, compute_Q, compute_w, eval_delta,
-                              eval_theta, make_evaluator, sinc)
+from isobispec.charfn import (_eval_path, _osc_integral, compute_Q, compute_w,
+                              eval_delta, eval_theta, make_evaluator, sinc)
 from isobispec.errors import GridTooCoarseForRho
 from isobispec.grid import PI, norm_l2
-from isobispec.potential import (build_potential, omega,
+from isobispec.potential import (build_potential, make_family, omega,
                                  potential_from_callable)
 
 ALPHAS = (0, 1, -2, 0.5 + 1.5j)
@@ -31,14 +33,14 @@ class TestSinc:
 
 class TestComputeQ:
     def test_zero_potential(self, q_zero):
-        for k in (0, 1):
-            assert norm_l2(compute_Q(q_zero, k)) == 0.0
+        for Q in compute_Q(q_zero):
+            assert norm_l2(Q) == 0.0
 
     def test_routes_agree(self, q_alpha1):
+        q_re = compute_Q(q_alpha1, "reordered")
+        q_orig = compute_Q(q_alpha1, "original")
         for k in (0, 1):
-            qr = compute_Q(q_alpha1, k, "reordered")
-            qo = compute_Q(q_alpha1, k, "original")
-            assert norm_l2(qr - qo) <= 1e-6
+            assert norm_l2(q_re[k] - q_orig[k]) <= 1e-6
 
     def test_routes_agree_general_q(self, grid_default):
         rng = np.random.default_rng(42)
@@ -47,25 +49,34 @@ class TestComputeQ:
             grid_default,
             lambda x: c[0] * np.sin(x) + c[1] * np.cos(2 * x)
             + c[2] * np.sin(3 * x + 0.3) + c[3])
+        q_re = compute_Q(q, "reordered")
+        q_orig = compute_Q(q, "original")
         for k in (0, 1):
-            assert norm_l2(compute_Q(q, k, "reordered")
-                           - compute_Q(q, k, "original")) <= 1e-6
+            assert norm_l2(q_re[k] - q_orig[k]) <= 1e-6
 
     def test_family_structure(self, family_default, q_alpha1):
         # on (pi-a, 2a) the correction vanishes; on (3a/2, pi-a) it equals
         # -(-1)^k alpha eigsign e
         g = family_default.grid
         e = family_default.e
-        for k in (0, 1):
-            Q = compute_Q(q_alpha1, k)
+        for k, Q in enumerate(compute_Q(q_alpha1)):
             assert norm_l2(Q, g.x(g.idx_pi_a), g.x(g.idx_2a)) <= 1e-12
             expect = e * (-((-1.0) ** k) * 1.0 * family_default.eigsign)
             mid = Q.restrict(g.idx_3a2, g.idx_pi_a)
             assert norm_l2(mid - expect) <= 1e-7
 
-    def test_k_validation(self, q_zero):
+    def test_method_validation(self, q_zero):
         with pytest.raises(ValueError):
-            compute_Q(q_zero, 2)
+            compute_Q(q_zero, "nested")
+        with pytest.raises(ValueError):
+            compute_w(q_zero, 0, "nested")
+        with pytest.raises(ValueError):
+            compute_w(q_zero, 2)
+
+    def test_evaluator_carries_reordered_pair(self, q_alpha1):
+        ev = make_evaluator(q_alpha1)
+        for Q_ev, Q in zip(ev.Q, compute_Q(q_alpha1)):
+            assert np.array_equal(Q_ev.flat_values(), Q.flat_values())
 
 
 class TestComputeW:
@@ -192,6 +203,55 @@ class TestEvaluationPaths:
         out = eval_delta(ev, 0, lams)
         assert abs(out[0] - eval_delta(ev, 0, 1e-8, path="small")) == 0.0
         assert abs(out[1] - eval_delta(ev, 0, 4.0, path="large")) == 0.0
+
+    def test_unknown_path_rejected(self, q_alpha1):
+        ev = make_evaluator(q_alpha1)
+        for fn in (eval_delta, eval_theta):
+            with pytest.raises(ValueError):
+                fn(ev, 0, 4.0, path="lareg")
+
+
+def _direct_osc(ev, wt, rho, kind):
+    """sum of wt * trig(rho (pi + a - 2x)) term by term: the kernel's oracle."""
+    phase = PI - 2.0 * ev._x + ev.a
+    fn = np.cos if kind == "cos" else np.sin
+    return fn(rho[:, None] * phase[None, :]) @ wt
+
+
+class TestOscKernel:
+    """The folded, blocked oscillatory kernel against the direct sum."""
+
+    @pytest.mark.parametrize("grid_n", [160, 2080])
+    @pytest.mark.parametrize("a_frac", ["1/3", "7/20", "3/8", "19/50"])
+    def test_matches_direct_sum(self, a_frac, grid_n):
+        fam = make_family(a_frac=Fraction(a_frac), grid_n=grid_n)
+        # a family member's w_0 nearly vanishes at most breakpoints; the
+        # non-family q has weight on both sides of every duplicated node
+        q_gen = potential_from_callable(
+            fam.grid, lambda x: 1.0 + np.sin(3 * x) + 0.5j * np.cos(x),
+            dtype=complex)
+        for q in (build_potential(fam, 0.5 + 1.5j), q_gen):
+            self._check(make_evaluator(q))
+
+    @staticmethod
+    def _check(ev):
+        re_max, im_max = ev.rho_trust
+        # find_spectrum's sweep rectangle (n_eigs = 15), clipped to the trust
+        # region, plus the trust-region corners and a few small rho
+        re = np.linspace(0.05, min(15.75, re_max), 24)
+        im = np.linspace(-min(2.0, im_max), min(2.0, im_max), 7)
+        corners = np.array([re_max + 1j * im_max, re_max - 1j * im_max,
+                            -re_max + 1j * im_max, 1j * im_max, re_max])
+        rho = np.concatenate([(re[:, None] + 1j * im[None, :]).ravel(),
+                              corners, [0.0, 1e-3, 2e-3j]])
+        phase = PI - 2.0 * ev._x + ev.a
+        for wt, fold in ((ev._wt0, ev._fold0), (ev._wt1, ev._fold1)):
+            scale = np.cosh(np.abs(rho.imag)[:, None] * np.abs(phase)) @ np.abs(wt)
+            for kind in ("cos", "sin"):
+                fast = _osc_integral(ev, fold, rho, kind)
+                direct = _direct_osc(ev, wt, rho, kind)
+                assert (np.abs(fast - direct) <= 1e-13 * scale).all()
+            assert abs(fold[0].sum() - wt.sum()) <= 1e-14 * np.abs(wt).sum()
 
 
 class TestInvariance:
