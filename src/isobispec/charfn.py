@@ -57,7 +57,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import GridTooCoarseForRho, SupportMismatch
-from .grid import (PI, Grid, PiecewiseFn, panel_increments, segment_weights,
+from .grid import (PI, Grid, PiecewiseFn, cumulative_values, segment_weights,
                    varlimit_rows)
 from .potential import Potential
 
@@ -204,10 +204,8 @@ def _q_parts_original(q: Potential) -> tuple[np.ndarray, np.ndarray, np.ndarray]
         qa_seg = seg_samples(c0 + sa, c1 + sa)
         q_seg = seg_samples(c0, c1)
         T = qa_seg * P[sl] - q_seg * R[sl]
-        incT = panel_increments(T, step)
-        incJ = panel_increments(J[sl], step)
-        cumT[sl] = run_t + np.concatenate([[0], np.cumsum(incT)])
-        cumJ[sl] = run_j + np.concatenate([[0], np.cumsum(incJ)])
+        cumT[sl] = run_t + cumulative_values(T, step)
+        cumJ[sl] = run_j + cumulative_values(J[sl], step)
         run_t = cumT[c1 - t_lo]
         run_j = cumJ[c1 - t_lo]
 

@@ -8,8 +8,8 @@
     isobispec family          [flags]   potential samples (CSV) + report (JSON)
     isobispec eig             [flags]   kernel matrix and eigenpair as JSON
 
-Exit code is 0 iff the scenario verdict is PASS (or the dump succeeded).
-ISOBISPEC_THREADS caps parallelism.
+Exit code is 0 iff the scenario verdict is PASS (or the dump succeeded),
+1 on a FAIL verdict and 2 on bad input.
 """
 
 from __future__ import annotations
@@ -46,6 +46,14 @@ def _parse_frac(text: str) -> Fraction:
         raise argparse.ArgumentTypeError(f"bad fraction {text!r}") from exc
 
 
+def _parse_h(text: str) -> str:
+    try:
+        parse_h_spec(text)
+    except (ValueError, OSError) as exc:
+        raise argparse.ArgumentTypeError(str(exc)) from exc
+    return text
+
+
 def _parse_tol(text: str) -> tuple[str, float]:
     name, _, val = text.partition("=")
     if not val:
@@ -60,7 +68,7 @@ def build_parser() -> argparse.ArgumentParser:
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--a-frac", type=_parse_frac, default=Fraction(7, 20),
                         metavar="P/Q", help="delay as a rational multiple of pi")
-    common.add_argument("--h", dest="h_spec", default="const:1",
+    common.add_argument("--h", dest="h_spec", type=_parse_h, default="const:1",
                         help="seed function: const:C | sin:F | linear:C0,C1 | csv:PATH")
     common.add_argument("--eigsign", type=int, choices=(+1, -1), default=+1)
     common.add_argument("--alpha", type=_parse_alpha, action="append",
@@ -129,6 +137,7 @@ def main(argv=None) -> int:
         cfg = _config(args)
         out_dir = Path(cfg.out_dir)
         if args.command == "verify-theorem1":
+            cfg.eigsign = +1
             return _emit(run_verify_theorem1(cfg), cfg, args.quiet)
         if args.command == "verify-remark2":
             cfg.eigsign = -1

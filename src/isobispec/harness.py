@@ -22,8 +22,6 @@ import csv
 import datetime
 import json
 import math
-import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field, asdict
 from fractions import Fraction
 from pathlib import Path
@@ -31,7 +29,7 @@ from pathlib import Path
 import numpy as np
 
 from . import charfn, potential, shooting, spectra
-from .errors import DelayOutOfRange
+from .errors import DelayOutOfRange, OutOfSupport
 from .grid import PI, norm_l2, read_xy_csv
 
 SCHEMA_VERSION = 1
@@ -69,19 +67,10 @@ def rel_dev(a, b) -> float:
 
 
 def max_workers() -> int:
-    v = os.environ.get("ISOBISPEC_THREADS")
-    if v:
-        return max(1, int(v))
-    return min(8, os.cpu_count() or 1)
-
-
-def parallel_map(fn, items):
-    items = list(items)
-    w = min(max_workers(), len(items))
-    if w <= 1:
-        return [fn(x) for x in items]
-    with ThreadPoolExecutor(max_workers=w) as ex:
-        return list(ex.map(fn, items))
+    """Always 1: the scenarios run serially, since a thread pool measured
+    slower and larger on every scenario.  Kept for the benchmark, which
+    records it, and for the schema-1 report field ``environment.threads``."""
+    return 1
 
 
 # ---------------------------------------------------------------------------
@@ -112,7 +101,7 @@ def parse_h_spec(spec: str):
 
         def interp(x):
             if x.size and (x.min() < xs[0] - 1e-9 or x.max() > xs[-1] + 1e-9):
-                raise ValueError(
+                raise OutOfSupport(
                     f"csv seed covers [{xs[0]:.4g},{xs[-1]:.4g}], need "
                     f"[{x.min():.4g},{x.max():.4g}]")
             return np.interp(x, xs, vals)
@@ -285,8 +274,7 @@ def run_verify_theorem1(cfg: RunConfig) -> VerificationReport:
 
     alphas = list(dict.fromkeys([0j] + [complex(a) for a in cfg.alphas]))
     pots = {a: potential.build_potential(fam, a) for a in alphas}
-    evals = dict(zip(alphas, parallel_map(charfn.make_evaluator,
-                                          [pots[a] for a in alphas])))
+    evals = {a: charfn.make_evaluator(pots[a]) for a in alphas}
 
     # stage: w0 structural collapse
     a_x = grid.x(grid.idx_a)
@@ -318,12 +306,8 @@ def run_verify_theorem1(cfg: RunConfig) -> VerificationReport:
                             detail="max over lambda grid, j, alpha"))
 
     # stage: spectra invariance
-    def spect(args):
-        a, j = args
-        return spectra.find_spectrum(evals[a], j, cfg.n_eigs)
-
-    tasks = [(a, j) for a in alphas for j in (0, 1)]
-    res = dict(zip(tasks, parallel_map(spect, tasks)))
+    res = {(a, j): spectra.find_spectrum(evals[a], j, cfg.n_eigs)
+           for a in alphas for j in (0, 1)}
     worst_sp = 0.0
     all_certified = True
     all_complete = True
@@ -358,15 +342,11 @@ def run_verify_theorem1(cfg: RunConfig) -> VerificationReport:
 def _crosscheck_check(q, ev, lams, tol) -> Check:
     worst = 0.0
     worst_at = ""
-
-    def one(lam):
+    for lam in lams:
         d = shooting.char_values(q, lam)
         c = (charfn.eval_delta(ev, 0, lam), charfn.eval_delta(ev, 1, lam),
              charfn.eval_theta(ev, 0, lam), charfn.eval_theta(ev, 1, lam))
-        return max(rel_dev(x, y) for x, y in zip(d, c))
-
-    devs = parallel_map(one, list(lams))
-    for lam, dev in zip(lams, devs):
+        dev = max(rel_dev(x, y) for x, y in zip(d, c))
         if dev > worst:
             worst, worst_at = dev, f"lambda={lam:.6g}"
     return _check_le("crosscheck", worst, tol, detail=worst_at)
@@ -391,8 +371,7 @@ def run_verify_remark2(cfg: RunConfig) -> VerificationReport:
     alphas = list(dict.fromkeys(
         [0j, 1 + 0j, -1 + 0j] + [complex(a) for a in cfg.alphas]))
     pots = {a: potential.build_potential(fam, a) for a in alphas}
-    evals = dict(zip(alphas, parallel_map(charfn.make_evaluator,
-                                          [pots[a] for a in alphas])))
+    evals = {a: charfn.make_evaluator(pots[a]) for a in alphas}
 
     # stage: w1 alpha-invariance (and w0 must NOT be invariant)
     w1_dev = max(norm_l2(evals[a].w1.w - evals[0j].w1.w) for a in alphas)

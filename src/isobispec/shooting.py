@@ -32,7 +32,7 @@ import numpy as np
 
 from .charfn import sinc
 from .errors import GridTooCoarseForRho, SupportMismatch
-from .grid import PiecewiseFn, panel_increments, segment_weights, varlimit_rows
+from .grid import PiecewiseFn, cumulative_values, segment_weights, varlimit_rows
 from .potential import Potential
 
 _SPLIT_IM_MAX = 4.0
@@ -85,18 +85,12 @@ def _march_split(q: Potential, rho: complex, yf, ypf):
         g = qv * ydel
         cos_x = np.cos(rho * x)
         xsinc = x * sinc(rho * x)
-        Pn = P + _cum(cos_x * g, step)
-        Rn = R + _cum(xsinc * g, step)
+        Pn = P + cumulative_values(cos_x * g, step)
+        Rn = R + cumulative_values(xsinc * g, step)
         y[lo:hi + 1] = yf(x) + xsinc * Pn - cos_x * Rn
         yp[lo:hi + 1] = ypf(x) + cos_x * Pn + lam * xsinc * Rn
         P, R = Pn[-1], Rn[-1]
     return y, yp
-
-
-def _cum(vals: np.ndarray, step: float) -> np.ndarray:
-    out = np.zeros(vals.shape, dtype=vals.dtype)
-    out[1:] = np.cumsum(panel_increments(vals, step))
-    return out
 
 
 def _march_direct(q: Potential, rho: complex, yf, ypf):

@@ -1,15 +1,16 @@
-"""Zeros of the characteristic functions: seeding, Newton, certification.
+"""Zeros of the characteristic functions: contour counts, Newton, certification.
 
 Roots are located in the rho = sqrt(lambda) plane where they are
 asymptotically unit-spaced (see ``_OFFSETS``).  ``find_spectrum`` makes
 one pass over a sweep rectangle cut into strips midway between
-consecutive asymptotic roots: Newton from every asymptotic root, one
-argument-principle count per strip (Delves & Lyness, Math. Comp. 21,
-1967), and a dense hunt only in a strip that holds fewer distinct roots
-than its count.  A strip whose count equals its distinct roots certifies
-them: k distinct zeros in a region of winding number k are all simple and
-none is missing.  Strong potentials shift the low-lying roots by O(1) in
-rho, so the counts rather than seed quality guarantee completeness.
+consecutive asymptotic roots.  One contour walk per strip gives both its
+argument-principle count and, from the contour moments of log f, an
+estimate of each zero (Delves & Lyness, Math. Comp. 21, 1967; Kravanja &
+Van Barel, LNM 1727, 2000); Newton polishes the estimates.  A strip whose
+count equals its distinct roots certifies them: k distinct zeros in a
+region of winding number k are all simple and none is missing.  Strong
+potentials shift the low-lying roots by O(1) in rho, so the counts rather
+than the asymptotics guarantee completeness.
 """
 
 from __future__ import annotations
@@ -70,10 +71,6 @@ class Rect:
                     self.im_lo + d.imag, self.im_hi + d.imag)
 
 
-def _eval_rho(ev: CharFnEval, j: int, rho: np.ndarray, which: str) -> np.ndarray:
-    return _FUNCS[which](ev, j, np.asarray(rho) ** 2)
-
-
 def refine(ev: CharFnEval, j: int, seed: complex, which: str = "delta",
            max_iter: int = 50, tol: float = 1e-9) -> complex:
     """Newton in rho from a seed; returns lambda = rho^2.
@@ -103,29 +100,32 @@ def refine(ev: CharFnEval, j: int, seed: complex, which: str = "delta",
 
 
 def count_zeros(ev: CharFnEval, j: int, rect: Rect, which: str = "delta",
-                clearance: float = 1e-12, max_retries: int = 5) -> int:
+                clearance: float = 1e-12, max_retries: int = 5
+                ) -> tuple[int, np.ndarray]:
     """Argument-principle zero count of the characteristic function over a
-    rho-rectangle: trapezoid phase accumulation with adaptive edge bisection
-    until every increment is below pi/2."""
-    for attempt in range(max_retries + 1):
-        r = rect if attempt == 0 else rect.shifted(attempt * (1e-4 + 1e-4j))
+    rho-rectangle, with its zeros' rho estimated from the contour moments:
+    trapezoid phase accumulation with adaptive edge bisection until every
+    increment is below pi/2."""
+    for attempt in range(max_retries):
         try:
-            return _winding(ev, j, r, which, clearance)
+            return _winding(ev, j, rect.shifted(attempt * (1e-4 + 1e-4j)),
+                            which, clearance)
         except ContourThroughZero:
-            if attempt == max_retries:
-                raise
-    raise ContourThroughZero("unreachable")
+            pass
+    return _winding(ev, j, rect.shifted(max_retries * (1e-4 + 1e-4j)),
+                    which, clearance)
 
 
 def _winding(ev: CharFnEval, j: int, rect: Rect, which: str,
-             clearance: float) -> int:
+             clearance: float) -> tuple[int, np.ndarray]:
+    f_lam = _FUNCS[which]
     corners = rect.corners()
-    total = 0.0
+    edges_z, edges_f = [], []
     for k in range(4):
         z0, z1 = corners[k], corners[(k + 1) % 4]
         n0 = max(8, int(abs(z1 - z0) * 16))
         pts = z0 + (z1 - z0) * np.linspace(0.0, 1.0, n0 + 1)
-        vals = _eval_rho(ev, j, pts, which)
+        vals = f_lam(ev, j, pts ** 2)
         for _ in range(40):
             if np.abs(vals).min() <= clearance:
                 zmin = pts[np.abs(vals).argmin()]
@@ -134,19 +134,46 @@ def _winding(ev: CharFnEval, j: int, rect: Rect, which: str,
             dphi = np.angle(vals[1:] / vals[:-1])
             bad = np.nonzero(np.abs(dphi) >= 0.5 * np.pi)[0]
             if bad.size == 0:
-                total += dphi.sum()
+                edges_z.append(pts)
+                edges_f.append(vals)
                 break
             mids = 0.5 * (pts[bad] + pts[bad + 1])
-            mvals = _eval_rho(ev, j, mids, which)
+            mvals = f_lam(ev, j, mids ** 2)
             pts = np.insert(pts, bad + 1, mids)
             vals = np.insert(vals, bad + 1, mvals)
         else:
             raise ContourThroughZero("phase increments did not settle below pi/2")
-    w = total / (2 * PI)
-    n = round(w)
+    # the edges chain corner to corner and the last one ends at z_0
+    z = np.concatenate(edges_z)
+    f = np.concatenate(edges_f)
+    phase = np.concatenate([[0.0], np.cumsum(np.angle(f[1:] / f[:-1]))])
+    w = phase[-1] / (2 * PI)
+    n = int(round(w))
     if abs(w - n) > 0.1:
         raise ContourThroughZero(f"non-integer winding {w:.3f}")
-    return int(n)
+    log_f = np.log(np.abs(f)) + 1j * (np.angle(f[0]) + phase)
+    centre = complex(0.5 * (rect.re_lo + rect.re_hi),
+                     0.5 * (rect.im_lo + rect.im_hi))
+    return n, _moment_roots(z - centre, log_f, n) + centre
+
+
+def _moment_roots(zc: np.ndarray, log_f: np.ndarray, k: int) -> np.ndarray:
+    """The k zeros, relative to the centre c, inside the closed contour
+    zc = z - c, along which log f, continuous from zc[0], rises by 2 pi i k.
+
+    Integrating (z - c)^p f'/f by parts gives their power sums
+    s_p = k zc[0]^p - (p / 2 pi i) oint (z - c)^(p-1) log f dz (trapezoid
+    rule on the contour points); Newton's identities turn these into the
+    monic polynomial whose roots are returned."""
+    dz = np.diff(zc)
+    coef = [1.0 + 0j]
+    s = []
+    for p in range(1, k + 1):
+        g = zc ** (p - 1) * log_f
+        s.append(k * zc[0] ** p
+                 - p * np.sum(0.5 * (g[1:] + g[:-1]) * dz) / (2j * PI))
+        coef.append(-sum(coef[i] * s[p - 1 - i] for i in range(p)) / p)
+    return np.roots(coef)
 
 
 @dataclass(frozen=True)
@@ -197,12 +224,11 @@ def find_spectrum(ev: CharFnEval, j: int, n_eigs: int, which: str = "delta",
 
     The sweep rectangle 0.05 <= Re rho <= n_eigs + 3/4 (j = 0) or + 1/4
     (j = 1), |Im rho| <= im_halfwidth, is cut into strips midway between
-    consecutive asymptotic roots.  Newton runs from every asymptotic root
-    in the sweep and each root found is filed under its strip; each strip
-    is counted once by the argument principle, and a strip short of its
-    count is hunted once by Newton from a dense 41 x 33 grid, smallest |f|
-    first.  A root is certified when its strip holds exactly its count of
-    distinct roots; ``sweep_count`` is the sum of the strip counts.
+    consecutive asymptotic roots.  One contour walk per strip gives its
+    winding count and an estimate of each zero; Newton polishes every
+    estimate, and a polished root is filed under the strip only if it lies
+    inside it.  A root is certified when its strip holds exactly its count
+    of distinct roots; ``sweep_count`` is the sum of the strip counts.
     """
     rho_lo, rho_hi = 0.05, n_eigs + (0.25 if j == 1 else 0.75)
     sweep = Rect(rho_lo, rho_hi, -im_halfwidth, im_halfwidth)
@@ -210,35 +236,23 @@ def find_spectrum(ev: CharFnEval, j: int, n_eigs: int, which: str = "delta",
     cuts = [s + 0.5 for s in starts[:-1]]
     strips = [Rect(lo, hi, -im_halfwidth, im_halfwidth)
               for lo, hi in zip([rho_lo, *cuts], [*cuts, rho_hi])]
-    found: list[list[complex]] = [[] for _ in strips]
+    counts, cert = [], {}
+    for strip in strips:
+        count, estimates = count_zeros(ev, j, strip, which)
+        roots: list[complex] = []
+        for est in estimates:
+            try:
+                lam = complex(refine(ev, j, est, which, tol=tol))
+            except (NoConvergence, LeftTrustRegion):
+                continue
+            rho = complex(np.sqrt(lam))
+            if (strip.re_lo <= rho.real <= strip.re_hi
+                    and abs(rho.imag) <= im_halfwidth
+                    and all(abs(lam - z) > 1e-6 for z in roots)):
+                roots.append(lam)
+        counts.append(count)
+        cert.update(dict.fromkeys(roots, len(roots) == count))
 
-    def polish(seed: complex) -> None:
-        """Newton from seed; file a new root in the sweep under its strip."""
-        try:
-            lam = complex(refine(ev, j, seed, which, tol=tol))
-        except (NoConvergence, LeftTrustRegion):
-            return
-        rho = complex(np.sqrt(lam))
-        if (rho_lo <= rho.real <= rho_hi and abs(rho.imag) <= im_halfwidth
-                and all(abs(lam - z) > 1e-6 for zs in found for z in zs)):
-            found[int(np.searchsorted(cuts, rho.real))].append(lam)
-
-    for s in starts:
-        polish(s)
-    counts = [count_zeros(ev, j, strip, which) for strip in strips]
-    for strip, roots, count in zip(strips, found, counts):
-        if len(roots) >= count:
-            continue
-        re = np.linspace(strip.re_lo, strip.re_hi, 41)
-        im = np.linspace(strip.im_lo, strip.im_hi, 33)
-        grid_pts = (re[:, None] + 1j * im[None, :]).ravel()
-        for idx in np.argsort(np.abs(_eval_rho(ev, j, grid_pts, which))):
-            if len(roots) >= count:
-                break
-            polish(grid_pts[idx])
-
-    exact = [len(roots) == count for roots, count in zip(found, counts)]
-    cert = {z: ok for roots, ok in zip(found, exact) for z in roots}
     lams = _order_lams(list(cert))[:n_eigs]
     f = _FUNCS[which]
     lam0 = complex(f(ev, j, 0.0))
@@ -246,5 +260,6 @@ def find_spectrum(ev: CharFnEval, j: int, n_eigs: int, which: str = "delta",
                     residuals=tuple(float(abs(f(ev, j, z))) for z in lams),
                     certified=tuple(cert[z] for z in lams),
                     sweep_rect=sweep, sweep_count=sum(counts),
-                    complete=all(exact),
+                    # a strip yields at most its count of roots
+                    complete=len(cert) == sum(counts),
                     lambda_zero_value=lam0 if abs(lam0) < 1e-6 else None)

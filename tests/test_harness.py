@@ -204,8 +204,29 @@ class TestCli:
                    "--out-dir", str(tmp_path), "--quiet"])
         assert rc == 1                 # impossible tolerance must fail
 
-    def test_threads_env(self, tmp_path, monkeypatch):
-        monkeypatch.setenv("ISOBISPEC_THREADS", "1")
-        rc = main(["crosscheck", "--grid-n", "1024",
+    def test_bad_h_spec_exit_two(self, tmp_path, capsys):
+        # checked while the arguments are parsed: argparse exits with 2
+        for spec in ("cubic:1", f"csv:{tmp_path / 'missing.csv'}", "const:x"):
+            with pytest.raises(SystemExit) as exc:
+                main(["crosscheck", "--h", spec, "--out-dir", str(tmp_path),
+                      "--quiet"])
+            assert exc.value.code == 2
+            assert "argument --h" in capsys.readouterr().err
+
+    def test_short_csv_seed_exit_two(self, tmp_path, capsys):
+        # parses, but does not cover [5a/2, pi]: refused when the family is
+        # built, with a one-line message
+        path = tmp_path / "short.csv"
+        path.write_text("x,re\n0,1\n1,1\n")
+        rc = main(["crosscheck", "--h", f"csv:{path}", "--out-dir",
+                   str(tmp_path), "--quiet"])
+        assert rc == 2
+        assert "csv seed covers" in capsys.readouterr().err
+
+    def test_theorem1_fixes_its_eigsign(self, tmp_path):
+        rc = main(["verify-theorem1", "--eigsign", "-1", "--grid-n", "1024",
+                   "--n-eigs", "4", "--nystrom-n", "128", "--alpha", "2",
                    "--out-dir", str(tmp_path), "--quiet"])
         assert rc == 0
+        rep = json.loads((tmp_path / "verify-theorem1.json").read_text())
+        assert rep["environment"]["config"]["eigsign"] == 1

@@ -55,19 +55,33 @@ class TestRefine:
 class TestCountZeros:
     def test_zero_potential_rects(self, q_zero):
         ev = make_evaluator(q_zero)
-        assert count_zeros(ev, 0, Rect(0.5, 3.5, -0.5, 0.5)) == 3
-        assert count_zeros(ev, 1, Rect(0.6, 3.6, -0.5, 0.5)) == 3
+        assert count_zeros(ev, 0, Rect(0.5, 3.5, -0.5, 0.5))[0] == 3
+        assert count_zeros(ev, 1, Rect(0.6, 3.6, -0.5, 0.5))[0] == 3
 
     def test_empty_rect(self, q_zero):
         ev = make_evaluator(q_zero)
-        assert count_zeros(ev, 0, Rect(0.2, 0.8, -0.3, 0.3)) == 0
+        count, est = count_zeros(ev, 0, Rect(0.2, 0.8, -0.3, 0.3))
+        assert count == 0 and est.size == 0
 
     def test_contour_through_zero_retries(self, q_zero):
         # right edge sits exactly on the root rho = 2; the retry shift
         # (1e-4 + 1e-4i) deterministically moves it inside.  Strips sharing
         # a cut shift the same way, which keeps strip counts additive.
         ev = make_evaluator(q_zero)
-        assert count_zeros(ev, 0, Rect(1.5, 2.0, -0.5, 0.5)) == 1
+        assert count_zeros(ev, 0, Rect(1.5, 2.0, -0.5, 0.5))[0] == 1
+
+    @pytest.mark.parametrize("which,j,off",
+                             [("delta", 0, 0.0), ("delta", 1, 0.5),
+                              ("theta", 0, 0.5), ("theta", 1, 0.0)])
+    def test_estimates_near_free_roots(self, q_zero, which, j, off):
+        # a strip of the sweep's height, 1.25 <= Re rho <= 3.25, holding two
+        # free roots n - off
+        ev = make_evaluator(q_zero)
+        count, est = count_zeros(ev, j, Rect(1.25, 3.25, -2.0, 2.0), which)
+        free = [n - off for n in range(1, 6) if 1.25 < n - off < 3.25]
+        assert count == len(est) == len(free)
+        for rho in free:
+            assert np.abs(est - rho).min() <= 0.05
 
 
 class TestFindSpectrum:
@@ -139,18 +153,38 @@ class TestFindSpectrum:
         ev = make_evaluator(q_alpha1)
         sp = find_spectrum(ev, j, n_eigs, which)
         assert sp.complete
-        assert sp.sweep_count == count_zeros(ev, j, sp.sweep_rect, which)
+        assert sp.sweep_count == count_zeros(ev, j, sp.sweep_rect, which)[0]
+
+    def test_one_refine_per_counted_root(self, q_alpha1, monkeypatch):
+        # every root comes from its strip's contour estimate: no Newton from
+        # asymptotic seeds and no hunt
+        ev = make_evaluator(q_alpha1)
+        calls = {"n": 0}
+        real_refine = spectra_mod.refine
+
+        def counting(*args, **kwargs):
+            calls["n"] += 1
+            return real_refine(*args, **kwargs)
+
+        monkeypatch.setattr(spectra_mod, "refine", counting)
+        for j in (0, 1):
+            calls["n"] = 0
+            sp = find_spectrum(ev, j, 15)
+            assert sp.complete and all(sp.certified)
+            assert calls["n"] == sp.sweep_count
 
     def test_unreachable_pair_is_not_certified(self, q_alpha1, monkeypatch):
-        # Newton restricted to real seeds cannot reach the complex pair
+        # Newton refusing complex seeds cannot reach the complex pair
         # (delta_0: rho ~ 2.42 +- 0.41i, delta_1: rho ~ 1.74 +- 1.10i); the
-        # pair's strip stays short and only its own roots lose the certificate
+        # pair's strip stays short and only its own roots lose the
+        # certificate.  Estimates of real roots carry roundoff imaginary
+        # parts, hence the 0.1 threshold.
         ev = make_evaluator(q_alpha1)
         real_refine = spectra_mod.refine
 
         def refine_real_seeds(ev_, j_, seed, *args, **kwargs):
-            if complex(seed).imag != 0:
-                raise NoConvergence("non-real seed")
+            if abs(complex(seed).imag) > 0.1:
+                raise NoConvergence("complex seed")
             return real_refine(ev_, j_, seed, *args, **kwargs)
 
         monkeypatch.setattr(spectra_mod, "refine", refine_real_seeds)
@@ -159,7 +193,7 @@ class TestFindSpectrum:
             assert sp.sweep_count == 15
             assert len(sp.eigenvalues) == 13
             assert not sp.complete
-            assert count_zeros(ev, j, Rect(lo, hi, -2.0, 2.0)) == 2 + sum(
+            assert count_zeros(ev, j, Rect(lo, hi, -2.0, 2.0))[0] == 2 + sum(
                 lo < np.sqrt(z).real <= hi for z in sp.eigenvalues)
             for lam, cert in zip(sp.eigenvalues, sp.certified):
                 assert abs(lam.imag) <= 1e-12
