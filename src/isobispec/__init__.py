@@ -13,7 +13,8 @@ from .potential import (FamilySpec, Potential, build_potential, family_spec,
                         structural_report, zero_potential)
 from .charfn import (CharFnEval, WFunction, compute_Q, compute_w, eval_delta,
                      eval_theta, make_evaluator, sinc)
-from .shooting import ShootingSolution, char_values, shoot, shoot_general
+from .shooting import (ShootingSolution, char_values, char_values_array, shoot,
+                       shoot_general)
 from .spectra import (Rect, Spectrum, count_zeros, find_spectrum, refine,
                       residual_bound, seeds)
 from .harness import (RunConfig, VerificationReport, lambda_validation_grid,

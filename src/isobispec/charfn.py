@@ -70,8 +70,6 @@ def sinc(z: np.ndarray) -> np.ndarray:
     z = np.asarray(z)
     small = np.abs(z) <= 1e-4
     zs = np.where(small, 0.0, z)
-    out = np.empty(z.shape, dtype=np.result_type(z, 1.0 + 0j)
-                   if np.iscomplexobj(z) else float)
     with np.errstate(invalid="ignore", divide="ignore"):
         out = np.where(small, 1.0, np.divide(np.sin(zs), np.where(small, 1.0, zs)))
     if small.any():

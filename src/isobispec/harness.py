@@ -59,11 +59,10 @@ def lambda_validation_grid() -> np.ndarray:
                            np.array([3 + 4j, -2 - 7j])]).astype(complex)
 
 
-def rel_dev(a, b) -> float:
-    """|a-b| normalized with a unit floor (safe near zeros)."""
-    a = complex(a)
-    b = complex(b)
-    return abs(a - b) / max(1.0, abs(a), abs(b))
+def rel_dev(a, b):
+    """|a-b| normalized with a unit floor (safe near zeros), elementwise."""
+    a, b = np.asarray(a), np.asarray(b)
+    return np.abs(a - b) / np.maximum(1.0, np.maximum(np.abs(a), np.abs(b)))
 
 
 def max_workers() -> int:
@@ -339,17 +338,20 @@ def run_verify_theorem1(cfg: RunConfig) -> VerificationReport:
     return VerificationReport.assemble("verify-theorem1", checks, env)
 
 
+_CHAR_NAMES = ("delta_0", "delta_1", "theta_0", "theta_1")
+
+
 def _crosscheck_check(q, ev, lams, tol) -> Check:
-    worst = 0.0
-    worst_at = ""
-    for lam in lams:
-        d = shooting.char_values(q, lam)
-        c = (charfn.eval_delta(ev, 0, lam), charfn.eval_delta(ev, 1, lam),
-             charfn.eval_theta(ev, 0, lam), charfn.eval_theta(ev, 1, lam))
-        dev = max(rel_dev(x, y) for x, y in zip(d, c))
-        if dev > worst:
-            worst, worst_at = dev, f"lambda={lam:.6g}"
-    return _check_le("crosscheck", worst, tol, detail=worst_at)
+    d = shooting.char_values_array(q, lams)
+    c = np.stack([charfn.eval_delta(ev, 0, lams), charfn.eval_delta(ev, 1, lams),
+                  charfn.eval_theta(ev, 0, lams), charfn.eval_theta(ev, 1, lams)],
+                 axis=1)
+    dev = rel_dev(d, c)
+    # first maximum in (lambda, function) order
+    i, k = np.unravel_index(np.argmax(dev), dev.shape)
+    worst = float(dev[i, k])
+    detail = f"lambda={lams[i]:.6g}, {_CHAR_NAMES[k]}" if worst > 0 else ""
+    return _check_le("crosscheck", worst, tol, detail=detail)
 
 
 # ---------------------------------------------------------------------------

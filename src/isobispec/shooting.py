@@ -1,25 +1,30 @@
 """Independent oracle: direct solution of the delay equation.
 
-Solves  -y'' + q(x) y(x-a) = lambda y  on (0, pi) by the method of steps
-in Volterra form: with rho^2 = lambda and g(s) = q(s) y(s-a),
+Solves  -y'' + q(x) y(x-a) = lambda y  on (0, pi) by the method of steps.
+With rho^2 = lambda, C(u) = cos(rho u), S(u) = u sinc(rho u) and
+g(s) = q(s) y(s-a), the solution restarted at any node x0 is
 
-    y(x)  = y_free(x) + int_a^x (x-s) sinc(rho (x-s)) g(s) ds,
-    y'(x) = y_free'(x) + int_a^x cos(rho (x-s)) g(s) ds.
+    y(x)  = y(x0) C(u) + y'(x0) S(u) + S(u) int C g - C(u) int S g,
+    y'(x) = y'(x0) C(u) - lambda y(x0) S(u) + C(u) int C g
+            + lambda S(u) int S g,
 
-Marching segment-by-segment over the breakpoint-aligned grid, the delayed
-factor y(s-a) is always known from earlier segments (segment lengths never
-exceed a in the supported delay range), so no iteration is needed.
+with u = x - x0 and the integrals of C(s - x0) g(s) running from x0 to x.
+Segment lengths never exceed a past x = a, so the delayed factor y(s-a) is
+always known from earlier segments and no iteration is needed.
 
-Two accumulation strategies share the same panel quadrature:
+One march does all the work, O(N) per lambda.  Expanding the kernel
+S(x - s) into S(u) C(v) - C(u) S(v) cancels by up to exp(2 |Im rho| L)
+over a block of length L, which over the whole of (0, pi) would eat the
+mantissa.  So the march restarts at each block start, and blocks obey
+|Im rho| L <= 1: the cancellation stays below e^2 out to the edge of the
+trust region.  Each lambda is bucketed by
+cap = 2^ceil(log2 max(|Im rho|, 1)) and every segment is cut into blocks
+of length <= 1/cap.  The partition depends on nothing but the lambda's
+own cap, so a lambda gives bit-identical values alone or in any batch.
+Blocks where q vanishes (such as (0, a)) carry only the free terms.
 
-* split form (O(N) per lambda): expand the kernel into cos(rho x),
-  x sinc(rho x) times running integrals of cos(rho s) g and s sinc(rho s) g.
-  The expansion cancels catastrophically once exp(|Im rho| pi) eats the
-  mantissa, so it is used only for |Im rho| <= 4.
-* direct form (O(N^2) per lambda): per-node quadrature of the unexpanded
-  kernel, stable for any trusted rho.
-
-Characteristic values are read off at pi: delta_j = S^(j)(pi), the
+The march runs all lambdas of a bucket and both initial-data pairs at
+once.  Characteristic values are read off at pi: delta_j = S^(j)(pi), the
 Robin-side theta_j = C^(j)(pi), where S, C carry the standard initial
 conditions S(0)=0, S'(0)=1 and C(0)=1, C'(0)=0.
 """
@@ -32,10 +37,11 @@ import numpy as np
 
 from .charfn import sinc
 from .errors import GridTooCoarseForRho, SupportMismatch
-from .grid import PiecewiseFn, cumulative_values, segment_weights, varlimit_rows
+from .grid import PiecewiseFn, cumulative_values
 from .potential import Potential
 
-_SPLIT_IM_MAX = 4.0
+# initial data (y(0), y'(0)) of S and C
+_S_AND_C = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex)
 
 
 @dataclass(frozen=True)
@@ -55,131 +61,100 @@ class ShootingSolution:
         return complex(self.yprime.seg_values[-1][-1])
 
 
-def _check_rho(q: Potential, lam: complex) -> complex:
-    rho = complex(np.sqrt(complex(lam)))
+def _check_rho(q: Potential, lams) -> np.ndarray:
+    rho = np.sqrt(np.asarray(lams, dtype=complex).reshape(-1))
     re_max, im_max = q.grid.rho_trust
-    if abs(rho.real) > re_max or abs(rho.imag) > im_max:
+    if (np.abs(rho.real) > re_max).any() or (np.abs(rho.imag) > im_max).any():
         raise GridTooCoarseForRho(
             f"|Re rho| <= {re_max:.3g}, |Im rho| <= {im_max:.3g} required at "
             f"{q.grid.n_panels} panels; refine the grid")
     return rho
 
 
-def _march_split(q: Potential, rho: complex, yf, ypf):
-    """O(N) advance via the split-kernel running integrals."""
+def _cap(rho: np.ndarray) -> np.ndarray:
+    """Bucket of each rho: 2^ceil(log2 max(|Im rho|, 1)); blocks of a
+    bucket are at most 1/cap long."""
+    return 2.0 ** np.ceil(np.log2(np.maximum(np.abs(rho.imag), 1.0)))
+
+
+def _march(q: Potential, rho: np.ndarray, init: np.ndarray):
+    """y, y' at every node, shape (len(rho), len(init), N + 1), for the
+    initial data rows init[k] = (y(0), y'(0)); all of rho share one
+    bucket."""
     grid = q.grid
-    step = grid.step
-    N = grid.n_panels
-    sa = grid.shift_a
-    y = np.zeros(N + 1, dtype=complex)
-    yp = np.zeros(N + 1, dtype=complex)
-    lam = rho * rho
-    P = 0.0 + 0.0j
-    R = 0.0 + 0.0j
-    for (lo, hi), qv in zip(q.fn.seg_bounds, q.fn.seg_values):
-        if hi == lo:
-            continue
-        idx = np.arange(lo, hi + 1)
-        x = idx * step
-        ydel = y[np.clip(idx - sa, 0, N)]
-        g = qv * ydel
-        cos_x = np.cos(rho * x)
-        xsinc = x * sinc(rho * x)
-        Pn = P + cumulative_values(cos_x * g, step)
-        Rn = R + cumulative_values(xsinc * g, step)
-        y[lo:hi + 1] = yf(x) + xsinc * Pn - cos_x * Rn
-        yp[lo:hi + 1] = ypf(x) + cos_x * Pn + lam * xsinc * Rn
-        P, R = Pn[-1], Rn[-1]
-    return y, yp
-
-
-def _march_direct(q: Potential, rho: complex, yf, ypf):
-    """O(N^2) advance with the unexpanded kernel (large |Im rho|)."""
-    grid = q.grid
-    step = grid.step
-    N = grid.n_panels
-    sa = grid.shift_a
-    y = np.zeros(N + 1, dtype=complex)
-    yp = np.zeros(N + 1, dtype=complex)
-    lam = rho * rho
-    done: list[tuple[np.ndarray, np.ndarray]] = []   # (t-nodes, weighted g)
-    for (lo, hi), qv in zip(q.fn.seg_bounds, q.fn.seg_values):
-        if hi == lo:
-            continue
-        m = hi - lo
-        idx = np.arange(lo, hi + 1)
-        x = idx * step
-        g = qv * y[np.clip(idx - sa, 0, N)]
-        acc_y = yf(x).astype(complex)
-        acc_p = ypf(x).astype(complex)
-        for t, wg in done:
-            d = x[:, None] - t[None, :]
-            acc_y += (d * sinc(rho * d)) @ wg
-            acc_p += np.cos(rho * d) @ wg
-        rows = varlimit_rows(m, step)
-        d = x[:, None] - x[None, :]
-        wg_local = rows * g[None, :]
-        acc_y += np.einsum("ij,ij->i", wg_local, d * sinc(rho * d))
-        acc_p += np.einsum("ij,ij->i", wg_local, np.cos(rho * d))
-        y[lo:hi + 1] = acc_y
-        yp[lo:hi + 1] = acc_p
-        done.append((x, segment_weights(m, step) * g))
-    return y, yp
-
-
-def _shoot_values(q: Potential, lam: complex, y0: complex, yp0: complex):
-    rho = _check_rho(q, lam)
-    grid = q.grid
-    sa = grid.shift_a
-    for (lo, hi), _ in zip(q.fn.seg_bounds, q.fn.seg_values):
+    step, N, sa = grid.step, grid.n_panels, grid.shift_a
+    for lo, hi in q.fn.seg_bounds:
         if hi - lo > sa and hi > grid.idx_a:
             raise SupportMismatch(
                 "method of steps needs segment lengths <= a past x = a")
-    lam_c = rho * rho
+    max_panels = max(1, int(1.0 / (_cap(rho).max() * step)))
+    r = rho[:, None]
+    lam = (r * r)[:, None]
+    y = np.empty((rho.size, len(init), N + 1), dtype=complex)
+    yp = np.empty_like(y)
+    y[..., 0], yp[..., 0] = init[:, 0], init[:, 1]
+    for (lo, hi), qv in zip(q.fn.seg_bounds, q.fn.seg_values):
+        n = hi - lo
+        if n == 0:
+            continue
+        k = -(-n // max_panels)
+        cuts = lo + n * np.arange(k + 1) // k
+        for b0, b1 in zip(cuts[:-1], cuts[1:]):
+            u = np.arange(b1 - b0 + 1) * step
+            Cu = np.cos(r * u)[:, None]
+            Su = (u * sinc(r * u))[:, None]
+            y0, p0 = y[..., b0:b0 + 1], yp[..., b0:b0 + 1]
+            yb = y0 * Cu + p0 * Su
+            pb = p0 * Cu - lam * y0 * Su
+            qb = qv[b0 - lo:b1 - lo + 1]
+            if qb.any():
+                g = qb * y[..., np.clip(np.arange(b0, b1 + 1) - sa, 0, N)]
+                P = cumulative_values(Cu * g, step)
+                R = cumulative_values(Su * g, step)
+                yb += Su * P - Cu * R
+                pb += Cu * P + lam * Su * R
+            y[..., b0:b1 + 1], yp[..., b0:b1 + 1] = yb, pb
+    return y, yp
 
-    def yf(x):
-        return y0 * np.cos(rho * x) + yp0 * x * sinc(rho * x)
 
-    def ypf(x):
-        return -y0 * lam_c * x * sinc(rho * x) + yp0 * np.cos(rho * x)
-
-    if abs(rho.imag) <= _SPLIT_IM_MAX:
-        y, yp = _march_split(q, rho, yf, ypf)
-    else:
-        y, yp = _march_direct(q, rho, yf, ypf)
-    return rho, y, yp
+def _solution(q: Potential, lam, kind: str, y0, yp0) -> ShootingSolution:
+    rho = _check_rho(q, lam)
+    y, yp = _march(q, rho, np.array([[y0, yp0]], dtype=complex))
+    grid = q.grid
+    return ShootingSolution(
+        lam=complex(lam), rho=complex(rho[0]), kind=kind,
+        y=PiecewiseFn.from_flat(grid, 0, grid.n_panels, y[0, 0]),
+        yprime=PiecewiseFn.from_flat(grid, 0, grid.n_panels, yp[0, 0]))
 
 
 def shoot(q: Potential, lam: complex, kind: str = "S") -> ShootingSolution:
     """Solve the delay equation with S- or C-type initial data."""
-    if kind == "S":
-        y0, yp0 = 0.0, 1.0
-    elif kind == "C":
-        y0, yp0 = 1.0, 0.0
-    else:
+    if kind not in ("S", "C"):
         raise ValueError("kind must be 'S' or 'C'")
-    rho, y, yp = _shoot_values(q, lam, y0, yp0)
-    grid = q.grid
-    return ShootingSolution(
-        lam=complex(lam), rho=rho, kind=kind,
-        y=PiecewiseFn.from_flat(grid, 0, grid.n_panels, y),
-        yprime=PiecewiseFn.from_flat(grid, 0, grid.n_panels, yp))
+    return _solution(q, lam, kind, *_S_AND_C["SC".index(kind)])
 
 
 def shoot_general(q: Potential, lam: complex, y0: complex,
                   yp0: complex) -> ShootingSolution:
     """Solve with arbitrary initial data (y(0), y'(0)) = (y0, yp0)."""
-    rho, y, yp = _shoot_values(q, lam, complex(y0), complex(yp0))
-    grid = q.grid
-    return ShootingSolution(
-        lam=complex(lam), rho=rho, kind="general",
-        y=PiecewiseFn.from_flat(grid, 0, grid.n_panels, y),
-        yprime=PiecewiseFn.from_flat(grid, 0, grid.n_panels, yp))
+    return _solution(q, lam, "general", y0, yp0)
+
+
+def char_values_array(q: Potential, lams) -> np.ndarray:
+    """(delta_0, delta_1, theta_0, theta_1) per lambda, shape (L, 4), from
+    one march of the S and C data per bucket of lambdas."""
+    rho = _check_rho(q, lams)
+    cap = _cap(rho)
+    out = np.empty((rho.size, 4), dtype=complex)
+    for c in np.unique(cap):
+        sel = cap == c
+        y, yp = _march(q, rho[sel], _S_AND_C)
+        out[sel] = np.stack([y[:, 0, -1], yp[:, 0, -1], y[:, 1, -1],
+                             yp[:, 1, -1]], axis=1)
+    return out
 
 
 def char_values(q: Potential, lam: complex) -> tuple[complex, complex,
                                                      complex, complex]:
-    """(delta_0, delta_1, theta_0, theta_1) at lambda, from two shots."""
-    s = shoot(q, lam, "S")
-    c = shoot(q, lam, "C")
-    return (s.value_at_pi, s.deriv_at_pi, c.value_at_pi, c.deriv_at_pi)
+    """(delta_0, delta_1, theta_0, theta_1) at one lambda."""
+    return tuple(complex(v) for v in char_values_array(q, [lam])[0])

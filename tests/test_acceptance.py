@@ -15,7 +15,7 @@ from isobispec.charfn import compute_Q, eval_delta, eval_theta, make_evaluator
 from isobispec.grid import PI, norm_l2
 from isobispec.potential import (build_potential, make_family, omega,
                                  potential_from_callable, zero_potential)
-from isobispec.shooting import char_values
+from isobispec.shooting import char_values_array
 from isobispec.spectra import find_spectrum
 
 ALPHAS_NONZERO = (1, -2, 0.5 + 1.5j)
@@ -155,13 +155,12 @@ def test_criterion_06_Q_route_equivalence(evaluators):
 def test_criterion_07_closed_form_vs_shooting(evaluators):
     pots, evs = evaluators
     q, ev = pots[1], evs[1]
-    worst = 0.0
-    for lam in lambda_grid():
-        sh = char_values(q, lam)
-        cf = (eval_delta(ev, 0, lam), eval_delta(ev, 1, lam),
-              eval_theta(ev, 0, lam), eval_theta(ev, 1, lam))
-        for x, y in zip(sh, cf):
-            worst = max(worst, abs(x - y) / max(1.0, abs(x), abs(y)))
+    lams = lambda_grid()
+    sh = char_values_array(q, lams)
+    cf = np.stack([eval_delta(ev, 0, lams), eval_delta(ev, 1, lams),
+                   eval_theta(ev, 0, lams), eval_theta(ev, 1, lams)], axis=1)
+    worst = (np.abs(sh - cf)
+             / np.maximum(1.0, np.maximum(np.abs(sh), np.abs(cf)))).max()
     ok = worst <= 1e-7
     _report("7 closed form vs shooting", ok,
             f"max rel dev={worst:.3e} <= 1e-7 (incl. complex lambda)")

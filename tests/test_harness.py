@@ -1,6 +1,7 @@
 """Scenario harness and CLI: configs, reports, exit codes, file outputs."""
 
 import json
+import re
 from fractions import Fraction
 from pathlib import Path
 
@@ -100,6 +101,9 @@ class TestScenarios:
     def test_crosscheck_passes(self):
         rep = run_crosscheck(RunConfig(**FAST))
         assert rep.verdict
+        # the detail names the worst lambda and function
+        detail = {c.name: c for c in rep.checks}["crosscheck"].detail
+        assert re.fullmatch(r"lambda=\S+, (delta|theta)_[01]", detail)
 
     def test_eigsign_guards(self):
         with pytest.raises(ValueError):

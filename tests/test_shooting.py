@@ -5,9 +5,15 @@ import pytest
 
 from isobispec.charfn import eval_delta, eval_theta, make_evaluator
 from isobispec.errors import GridTooCoarseForRho
+from isobispec.harness import lambda_validation_grid, rel_dev
 from isobispec.potential import build_potential, make_family
-from isobispec.shooting import (_march_direct, _march_split, char_values,
-                                shoot, shoot_general)
+from isobispec.shooting import (char_values, char_values_array, shoot,
+                                shoot_general)
+
+
+def _closed_forms(ev, lams):
+    return np.stack([eval_delta(ev, 0, lams), eval_delta(ev, 1, lams),
+                     eval_theta(ev, 0, lams), eval_theta(ev, 1, lams)], axis=1)
 
 
 class TestFreeEquation:
@@ -66,16 +72,16 @@ class TestConvergence:
         e2 = abs(vals[1] - vals[2])
         assert np.log2(e1 / e2) >= 2.0
 
-    def test_split_vs_direct(self, q_alpha1):
-        # the two accumulation strategies agree where both are stable
-        rho = 2 + 3.5j                     # |Im rho| = 3.5, split still OK
-        y1, p1 = _march_split(q_alpha1, rho, lambda x: np.sin(rho * x) / rho,
-                              lambda x: np.cos(rho * x))
-        y2, p2 = _march_direct(q_alpha1, rho, lambda x: np.sin(rho * x) / rho,
-                               lambda x: np.cos(rho * x))
-        scale = np.abs(y1).max()
-        assert np.abs(y1 - y2).max() <= 1e-7 * scale
-        assert np.abs(p1 - p2).max() <= 1e-7 * np.abs(p1).max()
+    def test_restarted_to_trust_edge(self, q_alpha1):
+        # the restarted march stays stable out to |Im rho| = 15, where an
+        # expansion about x = 0 would cancel like exp(2 |Im rho| pi)
+        rhos = np.array([3 + 4j, 5 + 8j, 3 + 14.9j, 14.9j, 39 + 14.9j])
+        _, im_max = q_alpha1.grid.rho_trust
+        assert np.abs(rhos.imag).max() <= im_max
+        ev = make_evaluator(q_alpha1)
+        lams = rhos ** 2
+        assert rel_dev(char_values_array(q_alpha1, lams),
+                       _closed_forms(ev, lams)).max() <= 1e-7
 
 
 class TestCrossValidation:
@@ -87,16 +93,26 @@ class TestCrossValidation:
 
     def test_full_grid_all_four(self, q_alpha1):
         ev = make_evaluator(q_alpha1)
-        lams = np.concatenate([np.linspace(-5, 120, 38),
-                               np.array([3 + 4j, -2 - 7j])])
-        worst = 0.0
-        for lam in lams:
-            sh = char_values(q_alpha1, lam)
-            cf = (eval_delta(ev, 0, lam), eval_delta(ev, 1, lam),
-                  eval_theta(ev, 0, lam), eval_theta(ev, 1, lam))
-            for a, b in zip(sh, cf):
-                worst = max(worst, abs(a - b) / max(1.0, abs(a), abs(b)))
-        assert worst <= 1e-7
+        lams = lambda_validation_grid()
+        assert rel_dev(char_values_array(q_alpha1, lams),
+                       _closed_forms(ev, lams)).max() <= 1e-7
+
+    def test_covers_find_spectrum_sweep(self, q_alpha1):
+        # find_spectrum's n_eigs = 15 sweep: Re rho in [0.05, 15.75],
+        # |Im rho| <= 2, at the crosscheck tolerance
+        rho = (np.linspace(0.05, 15.75, 30)[:, None]
+               + 1j * np.linspace(-2.0, 2.0, 5)[None, :]).ravel()
+        lams = rho ** 2
+        ev = make_evaluator(q_alpha1)
+        assert rel_dev(char_values_array(q_alpha1, lams),
+                       _closed_forms(ev, lams)).max() <= 1e-7
+
+    def test_batch_matches_scalar(self, q_alpha1):
+        # a lambda's block partition depends on its own rho only
+        lams = lambda_validation_grid()
+        batch = char_values_array(q_alpha1, lams)
+        for lam, row in zip(lams, batch):
+            assert np.array_equal(row, char_values(q_alpha1, lam))
 
     def test_deviation_shrinks_with_refinement(self, family_mid,
                                                family_default):
@@ -117,6 +133,12 @@ class TestGuards:
         re_max, _ = q_zero.grid.rho_trust
         with pytest.raises(GridTooCoarseForRho):
             shoot(q_zero, (re_max * 1.2) ** 2, "S")
+
+    def test_mixed_batch_outside_trust(self, q_zero):
+        _, im_max = q_zero.grid.rho_trust
+        lams = np.array([1.0, 10.0, (1j * im_max * 1.1) ** 2, 4.0])
+        with pytest.raises(GridTooCoarseForRho):
+            char_values_array(q_zero, lams)
 
     def test_bad_kind(self, q_zero):
         with pytest.raises(ValueError):
