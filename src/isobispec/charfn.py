@@ -9,7 +9,7 @@ where Q_k collects the quadratic-in-q correction.  Two evaluation routes
 for Q_k are provided:
 
 * ``reordered`` (the default): cumulative integrals of q plus one
-  variable-upper-limit quadrature,
+  variable-upper-limit quadrature (the integral operator's rule),
 
       Q_k(x) = F(x) G(x) - (-1)^k H(x),
       F(x) = int_a^{x-a/2} q,   G(x) = int_{x+a/2}^pi q,
@@ -57,8 +57,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import GridTooCoarseForRho, SupportMismatch
-from .grid import (PI, Grid, PiecewiseFn, cumulative_values, segment_weights,
-                   varlimit_rows)
+from .grid import (PI, Grid, PiecewiseFn, cumulative_values, rule_corrections,
+                   segment_weights)
 from .potential import Potential
 
 # |rho| at or below which the singularity-free small-rho path is used.
@@ -88,37 +88,31 @@ def _cumulative_flat(q: Potential) -> np.ndarray:
     return q.fn.cumulative().flat_values()
 
 
-def _h_values(q: Potential, x_idx: np.ndarray) -> np.ndarray:
-    """H(x) = int_a^{pi-x+a/2} q(t) K_q(x+t-a/2) dt at the given x-nodes.
+def _h_values(q: Potential) -> np.ndarray:
+    """H(x) = int_a^{pi-x+a/2} q(t) K_q(x+t-a/2) dt on the x-nodes of
+    (3a/2, pi-a/2).
 
-    Per q-segment, x-rows whose upper limit falls beyond the segment use
-    the full-segment weights; rows whose limit falls inside use the
-    variable-upper-limit rows, keeping the kernel cut-off at the moving
-    endpoint (where K_q clamps to zero) outside every stencil.
+    The cut stays in [a, pi-a] and K_q vanishes at and past node N, so per
+    q-segment the unit weights give one correlation of K_q (clipped at N)
+    with q, plus ``rule_corrections`` at the left end and min(cut, end).
     """
     grid = q.grid
-    step = grid.step
     s = grid.shift_half
     N = grid.n_panels
     cum = _cumulative_flat(q)
     k_all = cum[-1] - cum                       # K_q at every node
-    u_idx = N + s - x_idx                       # upper-limit node per x
+    x_idx = np.arange(grid.idx_3a2, grid.idx_pi_a2 + 1)
     out = np.zeros(x_idx.shape, dtype=np.result_type(q.fn.dtype, float))
-    for (lo, hi), qv in zip(q.fn.seg_bounds, q.fn.seg_values):
-        if hi <= grid.idx_a or hi == lo:
+    q_in = q.fn.restrict(grid.idx_a, grid.idx_pi_a)
+    for (lo, hi), qv in zip(q_in.seg_bounds, q_in.seg_values):
+        if hi == lo:
             continue
-        m = hi - lo
-        arg = x_idx[:, None] + (lo + np.arange(m + 1))[None, :] - s
-        kv = k_all[np.clip(arg, 0, N)]
-        full = u_idx >= hi
-        if full.any():
-            w = segment_weights(m, step)
-            out[full] += (kv[full] * qv[None, :]) @ w
-        part = (~full) & (u_idx > lo)
-        if part.any():
-            rows = varlimit_rows(m, step)[u_idx[part] - lo]
-            out[part] += np.einsum("ij,ij->i", rows * qv[None, :], kv[part])
-    return out
+        arg = np.arange(x_idx[0] + lo, x_idx[-1] + hi + 1) - s
+        out += np.convolve(k_all[np.minimum(arg, N)], qv[::-1], "valid")
+        off, coef = rule_corrections(np.clip(N + s - x_idx, lo, hi) - lo)
+        kc = k_all[np.minimum(x_idx[:, None] + lo + off - s, N)]
+        out += (coef * qv[off] * kc).sum(axis=1)
+    return out * grid.step
 
 
 def _q_parts(q: Potential) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -129,8 +123,7 @@ def _q_parts(q: Potential) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     x_idx = np.arange(grid.idx_3a2, grid.idx_pi_a2 + 1)
     F = cum[x_idx - s] - cum[grid.idx_a]
     G = cum[-1] - cum[x_idx + s]
-    H = _h_values(q, x_idx)
-    return x_idx, F * G, H
+    return x_idx, F * G, _h_values(q)
 
 
 def _q_parts_original(q: Potential) -> tuple[np.ndarray, np.ndarray, np.ndarray]:

@@ -13,10 +13,9 @@ alignment is what lets the family cancellations hold to roundoff rather
 than to quadrature accuracy.
 
 Quadrature is a composite 4th-order rule built from per-panel integrals of
-local cubic interpolants.  Building everything (plain integrals,
-cumulatives, right antiderivatives, variable-upper-limit rules) out of the
-same panel increments keeps integration exactly additive over adjacent
-ranges and byte-consistent between modules.
+local cubic interpolants.  Plain integrals, cumulatives and right
+antiderivatives sum the same panel increments, so integration is exactly
+additive; integrals up to a moving cut-off all use ``rule_corrections``.
 """
 
 from __future__ import annotations
@@ -208,23 +207,27 @@ def segment_weights(n: int, step: float) -> np.ndarray:
     return _segment_weights_unit(n) * step
 
 
-@lru_cache(maxsize=None)
-def _varlimit_rows_unit(n: int) -> np.ndarray:
-    """Lower-triangular weight rows W[k] for integrals over [x_0, x_k].
+# Rule over k panels = unit weights plus eight corrections: the end stencils
+# minus one (k >= 7), or the whole short rule minus one, zero-padded.
+_CORR_LONG = np.concatenate([_W_END, _W_END[::-1]]) - 1.0
+_CORR_SHORT = np.array([np.pad(_segment_weights_unit(k) - 1.0, (0, 7 - k))
+                        for k in range(7)])
 
-    Row k references only nodes 0..k (one-sided stencils at the moving
-    end), so integrands that are non-smooth exactly at the upper limit --
-    the cut-off of the delay kernel -- are integrated at full order.
+
+def rule_corrections(k) -> tuple[np.ndarray, np.ndarray]:
+    """Offsets o and weights c, shape k.shape + (8,): at unit step the rule
+    over k >= 0 panels is weight one on nodes 0..k plus c at offset o.
+
+    This is the one rule for integrals up to the delay kernel's moving
+    cut-off.  The kernel vanishes at and past the cut, so the unit-weight
+    part is a plain correlation and only these end terms see the cut.
     """
-    W = np.zeros((n + 1, n + 1))
-    for k in range(1, n + 1):
-        W[k, :k + 1] = _segment_weights_unit(k)
-    W.setflags(write=False)
-    return W
-
-
-def varlimit_rows(n: int, step: float) -> np.ndarray:
-    return _varlimit_rows_unit(n) * step
+    k = np.asarray(k)[..., None]
+    j = np.arange(8)
+    long = k >= 7
+    off = np.where(long, np.where(j < 4, j, k - 7 + j), np.minimum(j, k))
+    coef = np.where(long, _CORR_LONG, _CORR_SHORT[np.minimum(k[..., 0], 6)])
+    return off, coef
 
 
 # ---------------------------------------------------------------------------

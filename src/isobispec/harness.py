@@ -10,7 +10,8 @@ Three scenarios are exposed:
   the affine omega channel with slope 2*int(e), the theta difference
   identities, and that the Robin-side spectra actually split.
 * ``run_crosscheck``: all four characteristic functions against the
-  shooting oracle over the validation grid.
+  shooting oracle over the validation grid, the reordered Q route against
+  the nested one, and the discrete integral of w_0 against that of q.
 
 Reports are deterministic for a fixed RunConfig: check ordering is fixed
 and the only time-dependent field is an isolated timestamp.
@@ -460,7 +461,7 @@ def run_crosscheck(cfg: RunConfig) -> VerificationReport:
                                 norm_l2(ev.Q[k] - q_orig[k]),
                                 cfg.tol("q_route_equiv")))
     checks.append(_check_le(
-        "omega_vs_w0", abs(complex(ev.omega) - complex(potential.omega(q))),
+        "omega_vs_w0", abs(complex(ev.omega_w0) - complex(potential.omega(q))),
         cfg.tol("omega_vs_w0")))
 
     env = _environment(cfg, fam)

@@ -16,10 +16,10 @@ used:
   is second order -- good enough for a starting guess.
 
 * the working-grid operator (``apply_M`` / ``operator_matrix``): rows are
-  variable-upper-limit composite rules on the breakpoint-aligned grid,
-  byte-identical to the quadrature used later by the transformed-potential
-  computations.  Eigenpairs from the coarse solve are refined against this
-  matrix by Rayleigh-quotient inverse iteration, so the eigen-relation
+  the grid's variable-upper-limit rule (unit weights plus end corrections,
+  ``grid.rule_corrections``), the rule the transformed potential's H term
+  integrates with.  Eigenpairs from the coarse solve are refined against
+  this matrix by Rayleigh-quotient inverse iteration, so the eigen-relation
   M_h e = eta e holds at roundoff level on the working grid.  That exact
   discrete relation is what makes the family cancellations land at 1e-14
   instead of at quadrature accuracy.
@@ -32,7 +32,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConvergenceFailure, SupportMismatch, ZeroOperator
-from .grid import PI, Grid, PiecewiseFn, norm_l2, varlimit_rows
+from .grid import PI, Grid, PiecewiseFn, norm_l2, rule_corrections
 
 
 def _check_h(h: PiecewiseFn) -> Grid:
@@ -45,19 +45,20 @@ def _check_h(h: PiecewiseFn) -> Grid:
 def operator_matrix(h: PiecewiseFn, K_h: PiecewiseFn | None = None) -> np.ndarray:
     """Working-grid matrix B with (B f)_i = quadrature of K_h(x_i+t-a/2) f(t).
 
-    Row i integrates over t-nodes of [3a/2, pi - x_i + a/2] with the
-    variable-upper-limit rule; the kernel argument index is i + j - a/2
-    shifts, exact on the aligned grid.
+    Row i integrates over t-nodes of [3a/2, pi - x_i + a/2] with
+    ``rule_corrections``; the Hankel samples K_h(x_i + t_j - a/2) are exact
+    on the aligned grid and vanish past the cut, where unit weights remain.
     """
     grid = _check_h(h)
     K = K_h if K_h is not None else h.antiderivative_from_right()
     i0, i1 = grid.idx_3a2, grid.idx_pi_a
     m = i1 - i0
-    rows = varlimit_rows(m, grid.step)[::-1]          # row i -> upper limit m-i
-    j = np.arange(m + 1)
-    arg = (i0 + j)[:, None] + (i0 + j)[None, :] - grid.shift_half
-    kvals = K.sample_flat(arg)
-    return rows * kvals
+    i = np.arange(m + 1)
+    off, coef = rule_corrections(m - i)            # row i -> m-i panels
+    W = np.ones((m + 1, m + 1))
+    np.add.at(W, (i[:, None], off), coef)
+    return (W * grid.step) * K.sample_flat(2 * i0 - grid.shift_half
+                                           + i[:, None] + i[None, :])
 
 
 def apply_M(h: PiecewiseFn, f: PiecewiseFn,

@@ -1,15 +1,18 @@
 """Transformed potentials and characteristic-function evaluation."""
 
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
-from isobispec.charfn import (_eval_path, _osc_integral, compute_Q, compute_w,
-                              eval_delta, eval_theta, make_evaluator, sinc)
+from isobispec.charfn import (_eval_path, _h_values, _osc_integral, compute_Q,
+                              compute_w, eval_delta, eval_theta,
+                              make_evaluator, sinc)
 from isobispec.errors import GridTooCoarseForRho
-from isobispec.grid import PI, norm_l2
+from isobispec.grid import PI, Grid, norm_l2, segment_weights
+from isobispec.integral_op import operator_matrix
 from isobispec.potential import (build_potential, make_family, omega,
                                  potential_from_callable)
 
@@ -279,3 +282,83 @@ class TestTrustRegion:
 
     def test_trust_scales_with_grid(self, grid_small, grid_default):
         assert grid_default.rho_trust[0] > 10 * grid_small.rho_trust[0]
+
+
+class TestCutoffRule:
+    """H and the operator matrix against the per-row composite rule.
+
+    The oracle integrates each row up to its cut-off with the full rule over
+    the panels it covers, ``segment_weights(k)``, rather than with unit
+    weights plus end corrections.
+    """
+
+    @pytest.mark.parametrize("grid_n", [160, 2080])
+    @pytest.mark.parametrize("a_frac", ["1/3", "7/20", "3/8", "19/50", "19/48"])
+    def test_matches_per_row_rule(self, a_frac, grid_n):
+        fam = make_family(a_frac=Fraction(a_frac), grid_n=grid_n)
+        q_gen = potential_from_callable(
+            fam.grid, lambda x: 1.0 + np.sin(3 * x) + 0.5j * np.cos(x),
+            dtype=complex)
+        for q in (build_potential(fam, 0.5 + 1.5j), q_gen):
+            ref, scale, cut_panels = self._h_rows(q)
+            assert (np.abs(_h_values(q) - ref) <= 1e-13 * scale).all()
+            # rows whose upper limit lies 1-6 panels into a segment take the
+            # short rules
+            assert set(range(1, 7)) <= cut_panels
+        ref, scale = self._operator_rows(fam)
+        assert (np.abs(operator_matrix(fam.h) - ref)
+                <= 1e-13 * scale[:, None]).all()
+
+    @staticmethod
+    def _h_rows(q):
+        grid = q.grid
+        s, N, step = grid.shift_half, grid.n_panels, grid.step
+        cum = q.fn.cumulative().flat_values()
+        k_all = cum[-1] - cum
+        x_idx = np.arange(grid.idx_3a2, grid.idx_pi_a2 + 1)
+        ref = np.zeros(x_idx.shape, dtype=complex)
+        scale = np.zeros(x_idx.shape)
+        cut_panels = set()
+        for r, x in enumerate(x_idx):
+            u = N + s - x                      # cut-off node, K_q(x_N) = 0
+            for (lo, hi), qv in zip(q.fn.seg_bounds, q.fn.seg_values):
+                end = min(u, hi)
+                if hi <= grid.idx_a or end <= lo:
+                    continue
+                k = end - lo
+                terms = (segment_weights(k, step) * qv[:k + 1]
+                         * k_all[x + np.arange(lo, end + 1) - s])
+                ref[r] += terms.sum()
+                scale[r] += np.abs(terms).sum()
+                if u < hi:
+                    cut_panels.add(k)
+        return ref, scale, cut_panels
+
+    @staticmethod
+    def _operator_rows(fam):
+        grid = fam.grid
+        i0, m = grid.idx_3a2, grid.idx_pi_a - grid.idx_3a2
+        ref = np.zeros((m + 1, m + 1))
+        for i in range(m + 1):
+            k = m - i                           # panels up to the cut
+            arg = 2 * i0 - grid.shift_half + i + np.arange(k + 1)
+            ref[i, :k + 1] = (segment_weights(k, grid.step)
+                              * fam.K_h.sample_flat(arg))
+        return ref, np.abs(ref).sum(axis=1)
+
+
+def test_evaluator_memory_grows_subquadratically():
+    """Building an evaluator keeps no per-row weight tables: quadrupling the
+    panel count must not multiply its peak memory by 16."""
+    peaks = []
+    for n in (2080, 8200):
+        q = potential_from_callable(
+            Grid(Fraction(7, 20), n),
+            lambda x: 1.0 + np.sin(3 * x) + 0.5j * np.cos(x), dtype=complex)
+        tracemalloc.start()
+        try:
+            make_evaluator(q)
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+    assert peaks[1] <= 6 * peaks[0]

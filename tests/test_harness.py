@@ -102,8 +102,13 @@ class TestScenarios:
         rep = run_crosscheck(RunConfig(**FAST))
         assert rep.verdict
         # the detail names the worst lambda and function
-        detail = {c.name: c for c in rep.checks}["crosscheck"].detail
-        assert re.fullmatch(r"lambda=\S+, (delta|theta)_[01]", detail)
+        checks = {c.name: c for c in rep.checks}
+        assert re.fullmatch(r"lambda=\S+, (delta|theta)_[01]",
+                            checks["crosscheck"].detail)
+        # int w_0 is a quadrature of q + Q_0, not q itself: a zero here
+        # would mean the check compares a value with itself
+        om = checks["omega_vs_w0"]
+        assert 0 < om.measured <= om.threshold
 
     def test_eigsign_guards(self):
         with pytest.raises(ValueError):
